@@ -75,53 +75,26 @@ MONTAGE: tuple[MontagePair, ...] = tuple(
 N_BIPOLAR_CHANNELS = len(MONTAGE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiquadCascade:
-    """Second-order sections (b0, b1, b2, a1, a2), a0 normalized to 1."""
+    """Second-order sections in scipy's layout: rows (b0, b1, b2, 1, a1, a2)."""
 
-    sections: tuple[tuple[float, float, float, float, float], ...]
+    sos: np.ndarray
 
     def __post_init__(self):
-        for b0, b1, b2, a1, a2 in self.sections:
+        for a1, a2 in self.sos[:, 4:]:
             if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
                 raise UnstableDesign(
                     f"section (a1={a1}, a2={a2}) has poles on or outside "
                     "the unit circle"
                 )
 
-    def as_sos(self) -> np.ndarray:
-        return np.array(
-            [(b0, b1, b2, 1.0, a1, a2) for b0, b1, b2, a1, a2 in self.sections]
-        )
-
     def frequency_response(self, freqs_hz, fs_hz: float) -> np.ndarray:
         """Complex response of the cascade at the given frequencies."""
         _, h = signal.sosfreqz(
-            self.as_sos(), worN=2.0 * np.pi * np.atleast_1d(freqs_hz) / fs_hz
+            self.sos, worN=2.0 * np.pi * np.atleast_1d(freqs_hz) / fs_hz
         )
         return h
-
-
-@dataclass(eq=False)
-class BipolarSegment:
-    """One preprocessed 5-minute block: 18 channels x 30000 samples at 100 Hz."""
-
-    patient_id: str
-    hour_index: int
-    segment_index: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.shape != (N_BIPOLAR_CHANNELS, SEGMENT_SAMPLES):
-            raise TooShort(
-                f"segment data must be {N_BIPOLAR_CHANNELS}x{SEGMENT_SAMPLES}, "
-                f"got {self.data.shape}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteInput("segment contains non-finite values")
-        if np.any(self.data < -1.0) or np.any(self.data > 1.0):
-            raise NonFiniteInput("segment values outside [-1, 1]")
 
 
 def design_butterworth_bandpass(
@@ -141,11 +114,7 @@ def design_butterworth_bandpass(
     sos = signal.butter(
         order, [low_hz, high_hz], btype="bandpass", fs=fs_hz, output="sos"
     )
-    sections = tuple(
-        (row[0] / row[3], row[1] / row[3], row[2] / row[3], row[4] / row[3], row[5] / row[3])
-        for row in sos
-    )
-    return BiquadCascade(sections)
+    return BiquadCascade(sos / sos[:, 3:4])
 
 
 def filter_signal(cascade: BiquadCascade, x) -> np.ndarray:
@@ -155,7 +124,7 @@ def filter_signal(cascade: BiquadCascade, x) -> np.ndarray:
         raise NonFiniteInput("empty input")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("non-finite input to filter")
-    return signal.sosfilt(cascade.as_sos(), x, axis=-1)
+    return signal.sosfilt(cascade.sos, x, axis=-1)
 
 
 def _resample_ratio(fs_in: float, fs_out: float) -> Fraction:
@@ -238,34 +207,37 @@ def to_bipolar(samples, electrodes, montage=MONTAGE) -> np.ndarray:
     return np.stack(rows)
 
 
-def segment(
-    bipolar: np.ndarray, patient_id: str, hour_index: int
-) -> list[BipolarSegment]:
-    """Split into non-overlapping 30000-sample windows; remainder dropped."""
-    n = bipolar.shape[-1]
+def segment(bipolar: np.ndarray) -> np.ndarray:
+    """Split into non-overlapping 30000-sample windows; remainder dropped.
+
+    Returns one C-contiguous float32 array [n_segments, channels, 30000].
+    """
+    n_channels, n = bipolar.shape
     if n < SEGMENT_SAMPLES:
         raise TooShort(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
     n_segments = n // SEGMENT_SAMPLES
-    return [
-        BipolarSegment(
-            patient_id=patient_id,
-            hour_index=hour_index,
-            segment_index=i,
-            data=bipolar[:, i * SEGMENT_SAMPLES : (i + 1) * SEGMENT_SAMPLES],
-        )
-        for i in range(n_segments)
-    ]
+    windows = bipolar[:, : n_segments * SEGMENT_SAMPLES].reshape(
+        n_channels, n_segments, SEGMENT_SAMPLES
+    )
+    return np.ascontiguousarray(windows.transpose(1, 0, 2), dtype=np.float32)
 
 
 def preprocess(
     rec: RawRecording,
     band_hz: tuple[float, float] = DEFAULT_BAND_HZ,
     order: int = DEFAULT_ORDER,
-) -> list[BipolarSegment]:
-    """Full pipeline: filter, resample to 100 Hz, rescale, bipolar, segment."""
+) -> np.ndarray:
+    """Full pipeline: filter, resample to 100 Hz, rescale, bipolar, segment.
+
+    Returns float32 [n_segments, 18, 30000] with values in [-1, 1].
+    """
     cascade = design_butterworth_bandpass(band_hz[0], band_hz[1], order, rec.fs_hz)
     filtered = filter_signal(cascade, rec.samples)
     resampled = resample(filtered, rec.fs_hz, TARGET_FS_HZ)
     rescaled = minmax_rescale(resampled)
-    bipolar = to_bipolar(rescaled, rec.electrodes)
-    return segment(bipolar, rec.patient_id, rec.hour_index)
+    try:
+        return segment(to_bipolar(rescaled, rec.electrodes))
+    except (MissingElectrode, TooShort) as exc:
+        raise type(exc)(
+            f"patient {rec.patient_id}, hour {rec.hour_index}: {exc}"
+        ) from exc

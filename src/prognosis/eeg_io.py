@@ -198,16 +198,16 @@ def load_recording(header_path) -> RawRecording:
             f"{signal_path}: expected {n_elec}x{n_samples}="
             f"{n_elec * n_samples} values, found {raw.size}"
         )
-    samples = raw.reshape(n_elec, n_samples)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample(f"{signal_path}: non-finite sample values")
-    return RawRecording(
-        patient_id=header["patient_id"],
-        hour_index=int(header["hour_index"]),
-        fs_hz=float(header["fs_hz"]),
-        electrodes=tuple(header["electrodes"]),
-        samples=samples,
-    )
+    try:
+        return RawRecording(
+            patient_id=header["patient_id"],
+            hour_index=int(header["hour_index"]),
+            fs_hz=float(header["fs_hz"]),
+            electrodes=tuple(header["electrodes"]),
+            samples=raw.reshape(n_elec, n_samples),
+        )
+    except PrognosisError as exc:
+        raise type(exc)(f"{signal_path}: {exc}") from exc
 
 
 def write_patient(meta: PatientMeta, recordings, root) -> Path:

@@ -64,7 +64,7 @@ def predict_from_segments(
     probs = []
     raws = []
     for seg in segments:
-        out = forward(params, config, np.asarray(seg, dtype=np.float32))
+        out = forward(params, config, seg)
         probs.append(out.poor_prob)
         raws.append(out.cpc_raw)
     return PatientPrediction(
@@ -89,15 +89,12 @@ def predict_patient(
         try:
             segments = dsp.preprocess(rec)
         except (dsp.MissingElectrode, dsp.TooShort) as exc:
-            failures.append(f"hour {rec.hour_index}: {exc}")
+            failures.append(str(exc))
             continue
-        data = np.stack([s.data for s in segments])
         return predict_from_segments(
-            params, config, data, rec.patient_id, aggregate=aggregate
+            params, config, segments, rec.patient_id, aggregate=aggregate
         )
-    raise NoUsableRecording(
-        f"patient {recordings[0].patient_id}: no usable hour ({'; '.join(failures)})"
-    )
+    raise NoUsableRecording(f"no usable hour: {'; '.join(failures)}")
 
 
 def _check_binary(labels: np.ndarray) -> None:

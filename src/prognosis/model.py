@@ -16,13 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeMismatch, Tensor
 from .dsp import SEGMENT_SAMPLES
 from .errors import PrognosisError
-
-
-class ShapeMismatch(PrognosisError):
-    pass
 
 
 class BadConfig(PrognosisError):
@@ -155,13 +151,12 @@ PRESETS: dict[str, dict] = {
                  n_heads=2, ffn_hidden=128),
     "entry1": dict(n_bipolar_channels=2, embed_dim=768, n_attention_blocks=2,
                    n_heads=2, ffn_hidden=3072),
-    "entry2": dict(n_bipolar_channels=2, embed_dim=768, n_attention_blocks=2,
-                   n_heads=2, ffn_hidden=3072),
     "entry3": dict(n_bipolar_channels=2, embed_dim=768, n_attention_blocks=8,
                    n_heads=8, ffn_hidden=3072),
     "entry4": dict(n_bipolar_channels=18, embed_dim=768, n_attention_blocks=8,
                    n_heads=8, ffn_hidden=3072),
 }
+PRESETS["entry2"] = PRESETS["entry1"]
 
 
 def preset_config(name: str) -> ModelConfig:

@@ -178,9 +178,8 @@ class SegmentStore:
         path = self._path(rec.patient_id, rec.hour_index)
         if not path.is_file():
             segments = dsp.preprocess(rec)
-            arr = np.stack([s.data for s in segments]).astype(np.float32)
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.save(path, arr)
+            np.save(path, segments)
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:
@@ -188,9 +187,6 @@ class SegmentStore:
 
     def segments(self, patient_id: str, hour_index: int) -> np.ndarray:
         return np.load(self._index[patient_id][hour_index], mmap_mode="r")
-
-    def n_segments(self, patient_id: str, hour_index: int) -> int:
-        return self.segments(patient_id, hour_index).shape[0]
 
 
 def build_store(dataset, cache_dir) -> SegmentStore:

@@ -9,7 +9,6 @@ from prognosis import dsp
 from prognosis.dsp import (
     MONTAGE,
     BadRate,
-    BipolarSegment,
     InvalidBand,
     IrreducibleRatio,
     MissingElectrode,
@@ -51,7 +50,7 @@ class TestFilterDesign:
 
     def test_section_count_doubles_prototype(self):
         c = design_butterworth_bandpass(0.5, 35.0, 4, 100.0)
-        assert len(c.sections) == 4
+        assert len(c.sos) == 4
 
     @pytest.mark.parametrize(
         "low,high,order,fs",
@@ -70,7 +69,7 @@ class TestFilterDesign:
             high = rng.uniform(low + 5, fs / 2 - 1)
             order = int(rng.choice([2, 4, 6]))
             c = design_butterworth_bandpass(low, high, order, fs)
-            for _, _, _, a1, a2 in c.sections:
+            for a1, a2 in c.sos[:, 4:]:
                 assert abs(a2) < 1 and abs(a1) < 1 + a2
 
 
@@ -201,32 +200,47 @@ class TestBipolar:
 
 class TestSegmentation:
     def test_hour_gives_twelve(self):
-        segs = segment(np.zeros((18, 360000)), "p", 0)
-        assert len(segs) == 12
-        assert [s.segment_index for s in segs] == list(range(12))
+        segs = segment(np.zeros((18, 360000)))
+        assert segs.shape == (12, 18, 30000)
+        assert segs.dtype == np.float32 and segs.flags.c_contiguous
 
     def test_exact_boundary(self):
-        assert len(segment(np.zeros((18, 30000)), "p", 0)) == 1
+        assert segment(np.zeros((18, 30000))).shape == (1, 18, 30000)
 
     def test_remainder_dropped(self):
-        assert len(segment(np.zeros((18, 59999)), "p", 0)) == 1
+        assert segment(np.zeros((18, 59999))).shape == (1, 18, 30000)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            segment(np.zeros((18, 29999)), "p", 0)
+            segment(np.zeros((18, 29999)))
 
 
 class TestPreprocess:
     def test_full_pipeline(self, one_hour_recording):
         segs = preprocess(one_hour_recording)
-        assert len(segs) == 12
-        for s in segs:
-            assert s.data.shape == (18, 30000)
-            assert np.all(s.data >= -1.0) and np.all(s.data <= 1.0)
+        assert segs.shape == (12, 18, 30000)
+        assert segs.dtype == np.float32
+        assert np.all(segs >= -1.0) and np.all(segs <= 1.0)
+
+    def test_segment_major_layout(self, one_hour_recording):
+        rec = one_hour_recording
+        segs = preprocess(rec)
+        cascade = dsp.design_butterworth_bandpass(
+            *dsp.DEFAULT_BAND_HZ, dsp.DEFAULT_ORDER, rec.fs_hz
+        )
+        bipolar = to_bipolar(
+            minmax_rescale(
+                resample(filter_signal(cascade, rec.samples), rec.fs_hz, dsp.TARGET_FS_HZ)
+            ),
+            rec.electrodes,
+        )
+        for i in range(segs.shape[0]):
+            window = bipolar[:, i * 30000 : (i + 1) * 30000].astype(np.float32)
+            assert np.array_equal(segs[i], window)
 
     def test_determinism(self, one_hour_recording):
-        a = preprocess(one_hour_recording)[0].data
-        b = preprocess(one_hour_recording)[0].data
+        a = preprocess(one_hour_recording)
+        b = preprocess(one_hour_recording)
         assert np.array_equal(a, b)
 
     def test_missing_electrode_propagates(self, one_hour_recording):
@@ -239,11 +253,5 @@ class TestPreprocess:
             electrodes=tuple(rec.electrodes[i] for i in keep),
             samples=rec.samples[keep],
         )
-        with pytest.raises(MissingElectrode, match="Cz"):
+        with pytest.raises(MissingElectrode, match=f"{rec.patient_id}, hour 0: Cz"):
             preprocess(smaller)
-
-    def test_segment_invariants_enforced(self):
-        with pytest.raises(TooShort):
-            BipolarSegment("p", 0, 0, np.zeros((18, 100)))
-        with pytest.raises(NonFiniteInput):
-            BipolarSegment("p", 0, 0, np.full((18, 30000), 2.0))

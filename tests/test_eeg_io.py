@@ -12,6 +12,7 @@ from prognosis.eeg_io import (
     IoFailure,
     MalformedHeader,
     MissingFile,
+    NonFiniteSample,
     PatientMeta,
     RawRecording,
     SampleCountMismatch,
@@ -66,6 +67,15 @@ class TestRecordingRoundTrip:
         data = sig.read_bytes()
         sig.write_bytes(data[:-4])  # drop one sample: 19x999 + 18 values
         with pytest.raises(SampleCountMismatch):
+            load_recording(hdr)
+
+    def test_non_finite_signal_names_file(self, tmp_path):
+        rec = make_recording(n_samples=1000)
+        hdr, sig = write_recording(rec, tmp_path)
+        samples = rec.samples.copy()
+        samples[3, 7] = np.nan
+        samples.tofile(sig)
+        with pytest.raises(NonFiniteSample, match=sig.name):
             load_recording(hdr)
 
     def test_unwritable_directory(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from prognosis import autodiff as ad
 from prognosis import train as T
 from prognosis.autodiff import Tensor
+from prognosis.dsp import MissingElectrode
 from prognosis.eeg_io import GOOD, POOR, PatientMeta
 from prognosis.model import preset_config
 from prognosis.train import (
@@ -226,6 +227,23 @@ class TestSampler:
     def test_empty_split(self):
         with pytest.raises(EmptySplit):
             sample_training_example([], StubStore(), {}, np.random.default_rng(0))
+
+
+class TestStore:
+    def test_unusable_hour_names_patient(self, one_hour_recording, tmp_path):
+        import dataclasses
+
+        rec = one_hour_recording
+        keep = [i for i, e in enumerate(rec.electrodes) if e != "Cz"]
+        broken = dataclasses.replace(
+            rec,
+            electrodes=tuple(rec.electrodes[i] for i in keep),
+            samples=rec.samples[keep],
+        )
+        meta = PatientMeta(rec.patient_id, GOOD, 1)
+        with pytest.raises(MissingElectrode, match=rec.patient_id):
+            T.build_store({rec.patient_id: (meta, [broken])}, tmp_path)
+        assert not list(tmp_path.rglob("*.npy"))
 
 
 class TestTrainLoop:

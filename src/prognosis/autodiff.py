@@ -19,22 +19,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .errors import PrognosisError
+from .errors import NonFiniteValue, ShapeMismatch
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-
-class ShapeMismatch(PrognosisError):
-    """Operand shapes are incompatible for the requested op."""
-
-
-class NotScalarLoss(PrognosisError):
-    """backward() was called on a non-scalar node."""
-
-
-class NonFiniteValue(PrognosisError):
-    """An op produced (or was fed) a NaN or infinity."""
 
 
 _grad_enabled = True
@@ -84,7 +72,7 @@ class Tensor:
     def backward(self) -> None:
         """Reverse accumulation from this scalar node through the tape."""
         if self.data.size != 1:
-            raise NotScalarLoss(f"loss must be scalar, got shape {self.data.shape}")
+            raise ShapeMismatch(f"loss must be scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -208,6 +196,8 @@ def tsum(a: Tensor) -> Tensor:
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
+    if n == 0:
+        raise ShapeMismatch("mean of an empty tensor")
     return _make(
         np.asarray(np.mean(a.data)),
         (a,),

@@ -16,21 +16,18 @@ Header JSON: {"config": {...}, "meta": {...}, "tensors": [{"name", "shape"}],
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import PrognosisError
+from .errors import BadConfig, DataFileError, NonFiniteValue
 from .model import ModelConfig
 
 MAGIC = b"EEGPCKPT"
 VERSION = 1
-
-
-class CheckpointError(PrognosisError):
-    pass
 
 
 def save_checkpoint(
@@ -54,25 +51,40 @@ def save_checkpoint(
         },
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(params[n].data.astype("<f4").tobytes())
-        if adam_state is not None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
             for n in names:
-                fh.write(np.asarray(adam_state.m[n]).astype("<f4").tobytes())
-                fh.write(np.asarray(adam_state.v[n]).astype("<f4").tobytes())
+                fh.write(params[n].data.astype("<f4").tobytes())
+            if adam_state is not None:
+                for n in names:
+                    fh.write(np.asarray(adam_state.m[n]).astype("<f4").tobytes())
+                    fh.write(np.asarray(adam_state.v[n]).astype("<f4").tobytes())
+    except OSError as exc:
+        raise DataFileError(f"cannot write checkpoint {path}: {exc}") from exc
     return path
 
 
-def _read_tensor(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]:
-    n = int(np.prod(shape)) if shape else 1
-    nbytes = 4 * n
+def _manifest(entries, path) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each entry of a header's tensor list."""
+    if type(entries) is not list:
+        raise DataFileError(f"{path}: tensor list must be a list, got {entries!r}")
+    for e in entries:
+        if not (
+            type(e) is dict and type(e.get("name")) is str and type(e.get("shape")) is list
+            and all(type(d) is int and d >= 0 for d in e["shape"])
+        ):
+            raise DataFileError(f"{path}: bad tensor entry {e!r}")
+    return [(e["name"], tuple(e["shape"])) for e in entries]
+
+
+def _read_tensor(buf: memoryview, offset: int, shape, path) -> tuple[np.ndarray, int]:
+    nbytes = 4 * math.prod(shape)
     if offset + nbytes > len(buf):
-        raise CheckpointError("checkpoint truncated")
+        raise DataFileError(f"{path}: checkpoint truncated")
     arr = np.frombuffer(buf[offset : offset + nbytes], dtype="<f4").reshape(shape)
     return arr.copy(), offset + nbytes
 
@@ -84,34 +96,47 @@ def load_checkpoint(path, dtype=np.float32):
     """
     path = Path(path)
     if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
+        raise DataFileError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
+        raise DataFileError(f"{path}: not a checkpoint file")
     version, hlen = struct.unpack("<II", raw[8:16])
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise DataFileError(f"{path}: unsupported version {version}")
     if len(raw) < 16 + hlen:
-        raise CheckpointError("checkpoint truncated")
+        raise DataFileError(f"{path}: checkpoint truncated")
     try:
         header = json.loads(raw[16 : 16 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    config = ModelConfig.from_dict(header["config"])
+    except ValueError as exc:
+        raise DataFileError(f"{path}: bad header: {exc}") from exc
+    if type(header) is not dict:
+        raise DataFileError(f"{path}: bad header: not a JSON object")
+    try:
+        config = ModelConfig.from_dict(header.get("config"))
+    except BadConfig as exc:
+        raise DataFileError(f"{path}: bad header: {exc}") from exc
+    adam, meta = header.get("adam"), header.get("meta", {})
+    if adam and not (type(adam) is dict and type(adam.get("t")) is int):
+        raise DataFileError(f"{path}: bad adam section {adam!r}")
+    if type(meta) is not dict:
+        raise DataFileError(f"{path}: meta must be a JSON object, got {meta!r}")
     buf = memoryview(raw)
     offset = 16 + hlen
     params: dict[str, Tensor] = {}
-    for entry in header["tensors"]:
-        arr, offset = _read_tensor(buf, offset, entry["shape"])
-        params[entry["name"]] = Tensor(arr.astype(dtype), requires_grad=True)
+    for name, shape in _manifest(header.get("tensors"), path):
+        arr, offset = _read_tensor(buf, offset, shape, path)
+        try:
+            params[name] = Tensor(arr.astype(dtype), requires_grad=True)
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{path}: {name}: {exc}") from exc
     adam_fields = None
-    if header.get("adam"):
+    if adam:
         m: dict[str, np.ndarray] = {}
         v: dict[str, np.ndarray] = {}
-        for entry in header["adam"]["tensors"]:
-            m[entry["name"]], offset = _read_tensor(buf, offset, entry["shape"])
-            v[entry["name"]], offset = _read_tensor(buf, offset, entry["shape"])
-        adam_fields = (int(header["adam"]["t"]), m, v)
+        for name, shape in _manifest(adam.get("tensors"), path):
+            m[name], offset = _read_tensor(buf, offset, shape, path)
+            v[name], offset = _read_tensor(buf, offset, shape, path)
+        adam_fields = (adam["t"], m, v)
     if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return config, params, adam_fields, header.get("meta", {})
+        raise DataFileError(f"{path}: {len(raw) - offset} trailing bytes")
+    return config, params, adam_fields, meta

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, eeg_io, evaluation, gradcheck, model as model_mod, train as train_mod
 from .checkpoint import load_checkpoint
-from .errors import PrognosisError
+from .errors import InsufficientData, PrognosisError
 
 DEFAULT_RUNS_DIR_ENV = "PROGNOSIS_RUNS_DIR"
 
@@ -59,6 +59,8 @@ def cmd_preprocess(args) -> int:
     dataset = eeg_io.load_dataset(args.data)
     cache = Path(args.cache) if args.cache else _default_cache(args.data)
     store = train_mod.build_store(dataset, cache)
+    for message in store.skipped:
+        print(f"skipped: {message}", file=sys.stderr)
     n_hours = sum(len(store.hours(pid)) for pid in dataset)
     print(f"preprocessed {n_hours} hours from {len(dataset)} patients into {cache}")
     return 0
@@ -129,7 +131,7 @@ def cmd_evaluate(args) -> int:
     if ids is not None:
         missing = [pid for pid in ids if pid not in dataset]
         if missing:
-            raise PrognosisError(
+            raise InsufficientData(
                 f"checkpoint split references patients absent from dataset: {missing}"
             )
     store = None
@@ -180,12 +182,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_montage(args) -> int:
-    if args.action == "list":
-        print("index,anode,cathode")
-        for i, pair in enumerate(dsp.MONTAGE):
-            print(f"{i},{pair.anode},{pair.cathode}")
-        return 0
-    raise PrognosisError(f"unknown montage action {args.action!r}")
+    print("index,anode,cathode")  # "list" is the only action
+    for i, pair in enumerate(dsp.MONTAGE):
+        print(f"{i},{pair.anode},{pair.cathode}")
+    return 0
 
 
 def cmd_gradcheck(args) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import signal
 
 from .eeg_io import RawRecording
-from .errors import PrognosisError
+from .errors import BadConfig, NonFiniteValue, ShapeMismatch, UnusableRecording
 
 TARGET_FS_HZ = 100.0
 SEGMENT_SAMPLES = 30000  # 5 minutes at 100 Hz
@@ -23,34 +23,6 @@ DEFAULT_BAND_HZ = (0.5, 35.0)
 DEFAULT_ORDER = 4
 
 MAX_RESAMPLE_DENOMINATOR = 10000
-
-
-class InvalidBand(PrognosisError):
-    pass
-
-
-class UnstableDesign(PrognosisError):
-    pass
-
-
-class NonFiniteInput(PrognosisError):
-    pass
-
-
-class BadRate(PrognosisError):
-    pass
-
-
-class IrreducibleRatio(PrognosisError):
-    pass
-
-
-class MissingElectrode(PrognosisError):
-    pass
-
-
-class TooShort(PrognosisError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -84,7 +56,7 @@ class BiquadCascade:
     def __post_init__(self):
         for a1, a2 in self.sos[:, 4:]:
             if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
-                raise UnstableDesign(
+                raise BadConfig(
                     f"section (a1={a1}, a2={a2}) has poles on or outside "
                     "the unit circle"
                 )
@@ -106,11 +78,11 @@ def design_butterworth_bandpass(
     it, yielding exactly ``order`` sections.
     """
     if not (0 < low_hz < high_hz < fs_hz / 2):
-        raise InvalidBand(
+        raise BadConfig(
             f"need 0 < low < high < fs/2, got ({low_hz}, {high_hz}) at fs={fs_hz}"
         )
     if order < 2 or order % 2 != 0:
-        raise InvalidBand(f"order must be even and >= 2, got {order}")
+        raise BadConfig(f"order must be even and >= 2, got {order}")
     sos = signal.butter(
         order, [low_hz, high_hz], btype="bandpass", fs=fs_hz, output="sos"
     )
@@ -121,9 +93,9 @@ def filter_signal(cascade: BiquadCascade, x) -> np.ndarray:
     """Causal direct-form-II-transposed filtering, zero initial state."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 1:
-        raise NonFiniteInput("empty input")
+        raise ShapeMismatch("empty input")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("non-finite input to filter")
+        raise NonFiniteValue("non-finite input to filter")
     return signal.sosfilt(cascade.sos, x, axis=-1)
 
 
@@ -131,7 +103,7 @@ def _resample_ratio(fs_in: float, fs_out: float) -> Fraction:
     ratio = fs_out / fs_in
     frac = Fraction(ratio).limit_denominator(MAX_RESAMPLE_DENOMINATOR)
     if abs(float(frac) - ratio) > 1e-9 * ratio:
-        raise IrreducibleRatio(
+        raise BadConfig(
             f"cannot express {fs_out}/{fs_in} with denominator <= "
             f"{MAX_RESAMPLE_DENOMINATOR}"
         )
@@ -162,10 +134,10 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     the input unchanged.
     """
     if fs_in <= 0 or fs_out <= 0:
-        raise BadRate(f"rates must be positive, got fs_in={fs_in}, fs_out={fs_out}")
+        raise BadConfig(f"rates must be positive, got fs_in={fs_in}, fs_out={fs_out}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
-        raise BadRate("need at least 2 samples to resample")
+        raise ShapeMismatch("need at least 2 samples to resample")
     if fs_in == fs_out:
         return x
     frac = _resample_ratio(fs_in, fs_out)
@@ -186,7 +158,7 @@ def minmax_rescale(x) -> np.ndarray:
     """Map to [0, 1]; a constant signal maps to all zeros."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("non-finite input to minmax_rescale")
+        raise NonFiniteValue("non-finite input to minmax_rescale")
     lo = x.min(axis=-1, keepdims=True)
     hi = x.max(axis=-1, keepdims=True)
     span = hi - lo
@@ -202,7 +174,7 @@ def to_bipolar(samples, electrodes, montage=MONTAGE) -> np.ndarray:
     for pair in montage:
         for name in (pair.anode, pair.cathode):
             if name not in index:
-                raise MissingElectrode(name)
+                raise UnusableRecording(name)
     rows = [samples[index[p.anode]] - samples[index[p.cathode]] for p in montage]
     return np.stack(rows)
 
@@ -214,7 +186,7 @@ def segment(bipolar: np.ndarray) -> np.ndarray:
     """
     n_channels, n = bipolar.shape
     if n < SEGMENT_SAMPLES:
-        raise TooShort(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
+        raise UnusableRecording(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
     n_segments = n // SEGMENT_SAMPLES
     windows = bipolar[:, : n_segments * SEGMENT_SAMPLES].reshape(
         n_channels, n_segments, SEGMENT_SAMPLES
@@ -237,7 +209,7 @@ def preprocess(
     rescaled = minmax_rescale(resampled)
     try:
         return segment(to_bipolar(rescaled, rec.electrodes))
-    except (MissingElectrode, TooShort) as exc:
+    except UnusableRecording as exc:
         raise type(exc)(
             f"patient {rec.patient_id}, hour {rec.hour_index}: {exc}"
         ) from exc

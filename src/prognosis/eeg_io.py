@@ -13,12 +13,13 @@ channel-major (all samples of electrode 0, then electrode 1, ...).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import PrognosisError
+from .errors import BadConfig, DataFileError, InsufficientData, NonFiniteValue, PrognosisError
 
 SIGNAL_DTYPE = np.dtype("<f4")
 FORMAT_DTYPE_TAG = "f32le"
@@ -32,34 +33,6 @@ STANDARD_ELECTRODES = (
 
 GOOD = "Good"
 POOR = "Poor"
-
-
-class MissingFile(PrognosisError):
-    pass
-
-
-class MalformedHeader(PrognosisError):
-    pass
-
-
-class SampleCountMismatch(PrognosisError):
-    pass
-
-
-class NonFiniteSample(PrognosisError):
-    pass
-
-
-class IoFailure(PrognosisError):
-    pass
-
-
-class InvalidProfile(PrognosisError):
-    pass
-
-
-class EmptyDataset(PrognosisError):
-    pass
 
 
 @dataclass(eq=False)
@@ -76,18 +49,18 @@ class RawRecording:
         self.electrodes = tuple(self.electrodes)
         self.samples = np.asarray(self.samples)
         if self.samples.ndim != 2 or self.samples.shape[0] != len(self.electrodes):
-            raise SampleCountMismatch(
+            raise DataFileError(
                 f"samples shape {self.samples.shape} does not match "
                 f"{len(self.electrodes)} electrodes"
             )
         if self.fs_hz <= 0:
-            raise MalformedHeader(f"fs_hz must be positive, got {self.fs_hz}")
+            raise DataFileError(f"fs_hz must be positive, got {self.fs_hz}")
         if self.samples.shape[1] < 1:
-            raise SampleCountMismatch("recording has no samples")
+            raise DataFileError("recording has no samples")
         if self.hour_index < 0:
-            raise MalformedHeader(f"hour_index must be >= 0, got {self.hour_index}")
+            raise DataFileError(f"hour_index must be >= 0, got {self.hour_index}")
         if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteSample(f"non-finite samples in {self.patient_id}")
+            raise NonFiniteValue(f"non-finite samples in {self.patient_id}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +72,11 @@ class PatientMeta:
 
     def __post_init__(self):
         if self.outcome not in (GOOD, POOR):
-            raise MalformedHeader(f"outcome must be Good or Poor, got {self.outcome!r}")
+            raise DataFileError(f"outcome must be Good or Poor, got {self.outcome!r}")
         if self.cpc not in (1, 2, 3, 4, 5):
-            raise MalformedHeader(f"cpc must be in 1..5, got {self.cpc}")
+            raise DataFileError(f"cpc must be in 1..5, got {self.cpc}")
         if (self.outcome == GOOD) != (self.cpc <= 2):
-            raise MalformedHeader(
+            raise DataFileError(
                 f"patient {self.patient_id}: outcome {self.outcome} inconsistent "
                 f"with cpc {self.cpc}"
             )
@@ -124,17 +97,17 @@ class SynthesisProfile:
 
     def __post_init__(self):
         if self.outcome not in (GOOD, POOR):
-            raise InvalidProfile(f"outcome must be Good or Poor, got {self.outcome!r}")
+            raise BadConfig(f"outcome must be Good or Poor, got {self.outcome!r}")
         if self.n_hours < 1:
-            raise InvalidProfile(f"n_hours must be >= 1, got {self.n_hours}")
+            raise BadConfig(f"n_hours must be >= 1, got {self.n_hours}")
         if self.fs_hz <= 70:
-            raise InvalidProfile(
+            raise BadConfig(
                 f"fs_hz must exceed 70 so 35 Hz content is representable, "
                 f"got {self.fs_hz}"
             )
         lo, hi = self.oscillation_band_hz
         if not (0 < lo < hi < self.fs_hz / 2):
-            raise InvalidProfile(f"bad oscillation band {self.oscillation_band_hz}")
+            raise BadConfig(f"bad oscillation band {self.oscillation_band_hz}")
 
 
 def write_recording(rec: RawRecording, directory) -> tuple[Path, Path]:
@@ -158,56 +131,94 @@ def write_recording(rec: RawRecording, directory) -> tuple[Path, Path]:
             json.dump(header, fh, indent=1)
         rec.samples.astype(SIGNAL_DTYPE).tofile(signal_path)
     except OSError as exc:
-        raise IoFailure(f"cannot write recording to {directory}: {exc}") from exc
+        raise DataFileError(f"cannot write recording to {directory}: {exc}") from exc
     return header_path, signal_path
 
 
+def _is_name(value) -> bool:
+    """A name usable as one file or directory inside another directory."""
+    return (
+        type(value) is str
+        and value not in ("", ".", "..")
+        and "\0" not in value
+        and Path(value).name == value
+    )
+
+
+_INT = (lambda v: type(v) is int, "an int")  # JSON ints; a bool is no int
+# Each header field's check and what it must be; dtype must equal FORMAT_DTYPE_TAG.
 _HEADER_FIELDS = {
-    "patient_id", "hour_index", "fs_hz", "electrodes",
-    "n_samples", "signal_file", "dtype",
+    "patient_id": (_is_name, "a file name"),
+    "hour_index": _INT,
+    "fs_hz": (
+        lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max,
+        "a positive finite number",
+    ),
+    "electrodes": (
+        lambda v: type(v) is list and all(type(e) is str for e in v),
+        "a list of strings",
+    ),
+    "n_samples": _INT,
+    "signal_file": (_is_name, "a bare file name"),
 }
+_PATIENT_FIELDS = {"patient_id": _HEADER_FIELDS["patient_id"], "cpc": _INT}
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (ValueError, OSError) as exc:
+        raise DataFileError(f"{path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise DataFileError(f"{path}: not a JSON object")
+    return record
+
+
+def _check_fields(record: dict, fields: dict, path: Path) -> None:
+    for key, (valid, what) in fields.items():
+        if not valid(record[key]):
+            raise DataFileError(f"{path}: {key} must be {what}, got {record[key]!r}")
 
 
 def load_recording(header_path) -> RawRecording:
     header_path = Path(header_path)
     if not header_path.is_file():
-        raise MissingFile(f"header not found: {header_path}")
-    try:
-        with open(header_path) as fh:
-            header = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise MalformedHeader(f"{header_path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MalformedHeader(f"{header_path}: header is not a JSON object")
-    missing = _HEADER_FIELDS - header.keys()
+        raise DataFileError(f"header not found: {header_path}")
+    header = _read_json_object(header_path)
+    fields = {*_HEADER_FIELDS, "dtype"}
+    missing = fields - header.keys()
     if missing:
-        raise MalformedHeader(f"{header_path}: missing fields {sorted(missing)}")
-    unknown = header.keys() - _HEADER_FIELDS
+        raise DataFileError(f"{header_path}: missing fields {sorted(missing)}")
+    unknown = header.keys() - fields
     if unknown:
-        raise MalformedHeader(f"{header_path}: unknown fields {sorted(unknown)}")
+        raise DataFileError(f"{header_path}: unknown fields {sorted(unknown)}")
     if header["dtype"] != FORMAT_DTYPE_TAG:
-        raise MalformedHeader(f"{header_path}: unsupported dtype {header['dtype']!r}")
+        raise DataFileError(f"{header_path}: unsupported dtype {header['dtype']!r}")
+    _check_fields(header, _HEADER_FIELDS, header_path)
     signal_path = header_path.parent / header["signal_file"]
+    # every failure below names the header and the signal file it points to
+    where = f"{header_path}: signal file {signal_path.name}"
     if not signal_path.is_file():
-        raise MissingFile(f"signal file not found: {signal_path}")
+        raise DataFileError(f"{where} not found")
     raw = np.fromfile(signal_path, dtype=SIGNAL_DTYPE)
     n_elec = len(header["electrodes"])
-    n_samples = int(header["n_samples"])
+    n_samples = header["n_samples"]
     if raw.size != n_elec * n_samples:
-        raise SampleCountMismatch(
-            f"{signal_path}: expected {n_elec}x{n_samples}="
+        raise DataFileError(
+            f"{where}: expected {n_elec}x{n_samples}="
             f"{n_elec * n_samples} values, found {raw.size}"
         )
     try:
         return RawRecording(
             patient_id=header["patient_id"],
-            hour_index=int(header["hour_index"]),
+            hour_index=header["hour_index"],
             fs_hz=float(header["fs_hz"]),
             electrodes=tuple(header["electrodes"]),
             samples=raw.reshape(n_elec, n_samples),
         )
     except PrognosisError as exc:
-        raise type(exc)(f"{signal_path}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def write_patient(meta: PatientMeta, recordings, root) -> Path:
@@ -216,18 +227,9 @@ def write_patient(meta: PatientMeta, recordings, root) -> Path:
     try:
         pdir.mkdir(parents=True, exist_ok=True)
         with open(pdir / "patient.json", "w") as fh:
-            json.dump(
-                {
-                    "patient_id": meta.patient_id,
-                    "outcome": meta.outcome,
-                    "cpc": meta.cpc,
-                    "hospital": meta.hospital,
-                },
-                fh,
-                indent=1,
-            )
+            json.dump(asdict(meta), fh, indent=1)
     except OSError as exc:
-        raise IoFailure(f"cannot write patient dir {pdir}: {exc}") from exc
+        raise DataFileError(f"cannot write patient dir {pdir}: {exc}") from exc
     for rec in recordings:
         write_recording(rec, pdir)
     return pdir
@@ -309,27 +311,32 @@ def load_patient(pdir) -> tuple[PatientMeta, list[RawRecording]]:
     pdir = Path(pdir)
     meta_path = pdir / "patient.json"
     if not meta_path.is_file():
-        raise MissingFile(f"patient {pdir.name}: no patient.json in {pdir}")
+        raise DataFileError(f"patient {pdir.name}: no patient.json in {pdir}")
     try:
-        with open(meta_path) as fh:
-            raw = json.load(fh)
+        raw = _read_json_object(meta_path)
+        _check_fields(raw, _PATIENT_FIELDS, meta_path)
         meta = PatientMeta(
             patient_id=raw["patient_id"],
             outcome=raw["outcome"],
-            cpc=int(raw["cpc"]),
+            cpc=raw["cpc"],
             hospital=raw.get("hospital", ""),
         )
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise MalformedHeader(f"patient {pdir.name}: bad patient.json: {exc}") from exc
+    except (DataFileError, KeyError) as exc:
+        raise DataFileError(f"patient {pdir.name}: bad patient.json: {exc}") from exc
     headers = sorted(pdir.glob("*.hdr.json"))
     if not headers:
-        raise EmptyDataset(f"patient {pdir.name}: no recordings in {pdir}")
+        raise InsufficientData(f"patient {pdir.name}: no recordings in {pdir}")
     recs = []
     for hp in headers:
         try:
             recs.append(load_recording(hp))
         except PrognosisError as exc:
             raise type(exc)(f"patient {pdir.name}: {exc}") from exc
+        if recs[-1].patient_id != meta.patient_id:
+            raise DataFileError(
+                f"{hp}: patient_id {recs[-1].patient_id!r} is not the "
+                f"{meta.patient_id!r} of {meta_path}"
+            )
     recs.sort(key=lambda r: r.hour_index)
     return meta, recs
 
@@ -338,7 +345,7 @@ def load_dataset(root) -> dict[str, tuple[PatientMeta, list[RawRecording]]]:
     """Load all patients under root, keyed and ordered by patient id."""
     root = Path(root)
     if not root.is_dir():
-        raise MissingFile(f"dataset root not found: {root}")
+        raise DataFileError(f"dataset root not found: {root}")
     # hidden directories are not patients (the preprocessing cache lives
     # in one next to the data)
     pdirs = sorted(
@@ -349,5 +356,5 @@ def load_dataset(root) -> dict[str, tuple[PatientMeta, list[RawRecording]]]:
         meta, recs = load_patient(pdir)
         dataset[meta.patient_id] = (meta, recs)
     if not dataset:
-        raise EmptyDataset(f"no patients found under {root}")
+        raise InsufficientData(f"no patients found under {root}")
     return dataset

@@ -12,22 +12,10 @@ import numpy as np
 from . import dsp
 from .autodiff import Tensor
 from .eeg_io import POOR, PatientMeta, RawRecording
-from .errors import PrognosisError
+from .errors import InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, forward
 
 FPR_CAP = 0.05
-
-
-class SingleClassLabels(PrognosisError):
-    pass
-
-
-class NoUsableRecording(PrognosisError):
-    pass
-
-
-class EmptyInput(PrognosisError):
-    pass
 
 
 @dataclass
@@ -83,23 +71,23 @@ def predict_patient(
 ) -> PatientPrediction:
     """Predict from the most recent usable hour of one patient."""
     if not recordings:
-        raise NoUsableRecording("patient has no recordings")
+        raise UnusableRecording("patient has no recordings")
     failures = []
     for rec in sorted(recordings, key=lambda r: -r.hour_index):
         try:
             segments = dsp.preprocess(rec)
-        except (dsp.MissingElectrode, dsp.TooShort) as exc:
+        except UnusableRecording as exc:
             failures.append(str(exc))
             continue
         return predict_from_segments(
             params, config, segments, rec.patient_id, aggregate=aggregate
         )
-    raise NoUsableRecording(f"no usable hour: {'; '.join(failures)}")
+    raise UnusableRecording(f"no usable hour: {'; '.join(failures)}")
 
 
 def _check_binary(labels: np.ndarray) -> None:
     if labels.size == 0 or len(np.unique(labels)) < 2:
-        raise SingleClassLabels("need both classes present")
+        raise InsufficientData("need both classes present")
 
 
 def roc_points(scores, labels) -> list[RocPoint]:
@@ -133,7 +121,7 @@ def accuracy(preds, labels) -> float:
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.size == 0 or preds.shape != labels.shape:
-        raise EmptyInput(f"bad shapes {preds.shape} vs {labels.shape}")
+        raise ShapeMismatch(f"bad shapes {preds.shape} vs {labels.shape}")
     return float(np.mean(preds == labels))
 
 

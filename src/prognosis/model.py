@@ -11,18 +11,14 @@ single-layer heads read the summary token states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import Tensor
 from .dsp import SEGMENT_SAMPLES
-from .errors import PrognosisError
-
-
-class BadConfig(PrognosisError):
-    pass
+from .errors import BadConfig, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.conv_layers is None:
             object.__setattr__(self, "conv_layers", default_conv_layers(self.embed_dim))
-        if self.embed_dim % self.n_heads != 0:
+        if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by {self.n_heads} heads"
             )
@@ -102,46 +98,41 @@ class ModelConfig:
         return self.n_bipolar_channels * self.tokens_per_channel + 2
 
     def to_dict(self) -> dict:
-        return {
-            "n_bipolar_channels": self.n_bipolar_channels,
-            "embed_dim": self.embed_dim,
-            "n_attention_blocks": self.n_attention_blocks,
-            "n_heads": self.n_heads,
-            "ffn_hidden": self.ffn_hidden,
-            "segment_len": self.segment_len,
-            "conv_layers": [
-                {
-                    "kernel": c.kernel,
-                    "stride": c.stride,
-                    "out_channels": c.out_channels,
-                    "has_instance_norm": c.has_instance_norm,
-                }
-                for c in self.conv_layers
-            ],
-        }
+        return {**asdict(self), "conv_layers": [asdict(c) for c in self.conv_layers]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        conv = d.get("conv_layers")
-        return cls(
-            n_bipolar_channels=int(d["n_bipolar_channels"]),
-            embed_dim=int(d["embed_dim"]),
-            n_attention_blocks=int(d["n_attention_blocks"]),
-            n_heads=int(d["n_heads"]),
-            ffn_hidden=int(d["ffn_hidden"]),
-            segment_len=int(d.get("segment_len", SEGMENT_SAMPLES)),
-            conv_layers=None
-            if conv is None
-            else tuple(
-                ConvLayerSpec(
-                    kernel=int(c["kernel"]),
-                    stride=int(c["stride"]),
-                    out_channels=int(c["out_channels"]),
-                    has_instance_norm=bool(c["has_instance_norm"]),
-                )
-                for c in conv
-            ),
-        )
+        """Inverse of ``to_dict``; a missing or mistyped field is a BadConfig."""
+        d = _typed(d, "model config", _CONFIG_FIELDS,
+                   segment_len=SEGMENT_SAMPLES, conv_layers=None)
+        conv = d.pop("conv_layers")
+        if conv is not None:
+            conv = tuple(ConvLayerSpec(**_typed(c, "conv layer", _CONV_FIELDS)) for c in conv)
+        return cls(**d, conv_layers=conv)
+
+
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("n_bipolar_channels", "embed_dim", "n_attention_blocks", "n_heads",
+                     "ffn_hidden", "segment_len"), (int,)),
+    "conv_layers": (list, type(None)),
+}
+_CONV_FIELDS = {
+    **dict.fromkeys(("kernel", "stride", "out_channels"), (int,)),
+    "has_instance_norm": (bool,),
+}
+
+
+def _typed(record, what: str, fields: dict, **defaults) -> dict:
+    """The listed fields of a JSON object, defaults filled in; each must have
+    one of its listed types exactly (a bool is not an int)."""
+    if type(record) is not dict:
+        raise BadConfig(f"{what} must be a JSON object, got {record!r}")
+    record = {**defaults, **record}
+    for key, kinds in fields.items():
+        if type(record.get(key)) not in kinds:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise BadConfig(f"{what}: {key} must be {names}, got {record.get(key)!r}")
+    return {key: record[key] for key in fields}
 
 
 # Table-style architecture presets: (channels, blocks, heads). Entries 1 and 2

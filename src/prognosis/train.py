@@ -21,26 +21,10 @@ from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .eeg_io import GOOD, POOR, PatientMeta, RawRecording
-from .errors import PrognosisError
+from .errors import BadConfig, InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
 PROB_CLAMP = 1e-7
-
-
-class EmptyBatch(PrognosisError):
-    pass
-
-
-class TooFewPatients(PrognosisError):
-    pass
-
-
-class EmptySplit(PrognosisError):
-    pass
-
-
-class SingleClassDataset(PrognosisError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -58,9 +42,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0 < self.split_ratio < 1):
-            raise PrognosisError(f"split_ratio must be in (0,1), got {self.split_ratio}")
+            raise BadConfig(f"split_ratio must be in (0,1), got {self.split_ratio}")
         if self.batch_size < 1:
-            raise PrognosisError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise BadConfig(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -81,22 +65,38 @@ class LossBreakdown:
         return self.ce + self.mse
 
 
-def cross_entropy_loss(probs, labels) -> float:
+def _bce(probs: Tensor, labels: Tensor) -> Tensor:
     """Mean binary cross-entropy; probabilities clamped away from 0 and 1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if probs.size == 0 or probs.shape != labels.shape:
-        raise EmptyBatch(f"bad batch shapes {probs.shape} vs {labels.shape}")
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+    p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    one = Tensor(np.ones_like(labels.data))
+    return ad.scale(
+        ad.tmean(
+            ad.add(
+                ad.mul(labels, ad.log(p)),
+                ad.mul(Tensor(1 - labels.data), ad.log(ad.sub(one, p))),
+            )
+        ),
+        -1.0,
+    )
+
+
+def _mse(preds: Tensor, targets: Tensor) -> Tensor:
+    diff = ad.sub(targets, preds)
+    return ad.tmean(ad.mul(diff, diff))
+
+
+def _float64(values) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float64))
+
+
+def cross_entropy_loss(probs, labels) -> float:
+    """The training loss's cross-entropy term on plain arrays, in float64."""
+    return float(_bce(_float64(probs), _float64(labels)).data)
 
 
 def mse_loss(preds, targets) -> float:
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if preds.size == 0 or preds.shape != targets.shape:
-        raise EmptyBatch(f"bad batch shapes {preds.shape} vs {targets.shape}")
-    return float(np.mean((targets - preds) ** 2))
+    """The training loss's CPC regression term on plain arrays, in float64."""
+    return float(_mse(_float64(preds), _float64(targets)).data)
 
 
 def total_loss(ce: float, mse: float) -> LossBreakdown:
@@ -131,7 +131,7 @@ def adam_step(
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
-            raise ad.ShapeMismatch(
+            raise ShapeMismatch(
                 f"{name}: grad {g.shape} vs param {p.data.shape}"
             )
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
@@ -146,7 +146,7 @@ def adam_step(
 def split_patients(dataset, ratio: float, seed: int) -> tuple[list[str], list[str]]:
     """Patient-level split, stratified by outcome; returns (train_ids, val_ids)."""
     if len(dataset) < 2:
-        raise TooFewPatients(f"need >= 2 patients, got {len(dataset)}")
+        raise InsufficientData(f"need >= 2 patients, got {len(dataset)}")
     rng = np.random.default_rng(seed)
     train_ids: list[str] = []
     val_ids: list[str] = []
@@ -170,6 +170,7 @@ class SegmentStore:
     def __init__(self, cache_dir):
         self.cache_dir = Path(cache_dir)
         self._index: dict[str, dict[int, Path]] = {}
+        self.skipped: list[str] = []  # why each unusable hour was left out
 
     def _path(self, patient_id: str, hour_index: int) -> Path:
         return self.cache_dir / patient_id / f"hour_{hour_index}.npy"
@@ -190,11 +191,20 @@ class SegmentStore:
 
 
 def build_store(dataset, cache_dir) -> SegmentStore:
+    """Cache every usable hour. An unusable hour is skipped and its message
+    kept in ``store.skipped``; a patient with no usable hour fails."""
     store = SegmentStore(cache_dir)
     for pid in sorted(dataset):
         _, recs = dataset[pid]
+        failures = []
         for rec in recs:
-            store.add_recording(rec)
+            try:
+                store.add_recording(rec)
+            except UnusableRecording as exc:
+                failures.append(str(exc))
+        if not store.hours(pid):
+            raise UnusableRecording(f"patient {pid}: no usable hour: {'; '.join(failures)}")
+        store.skipped.extend(failures)
     return store
 
 
@@ -203,11 +213,11 @@ def sample_training_example(
 ) -> TrainingExample:
     """Uniform patient -> uniform hour -> uniform segment."""
     if not split_ids:
-        raise EmptySplit("no patients in split")
+        raise InsufficientData("no patients in split")
     pid = split_ids[int(rng.integers(len(split_ids)))]
     hours = store.hours(pid)
     if not hours:
-        raise EmptySplit(f"patient {pid} has no preprocessed hours")
+        raise InsufficientData(f"patient {pid} has no preprocessed hours")
     hour = hours[int(rng.integers(len(hours)))]
     segs = store.segments(pid, hour)
     idx = int(rng.integers(segs.shape[0]))
@@ -234,21 +244,9 @@ def batch_loss_tensors(
         raws.append(raw)
     dtype = params["pos"].data.dtype
     y = Tensor(np.array([ex.y for ex in batch], dtype=dtype))
-    one_minus_y = Tensor(np.array([1 - ex.y for ex in batch], dtype=dtype))
     x_true = Tensor(np.array([ex.x for ex in batch], dtype=dtype))
-    probs = ad.clip(ad.sigmoid(ad.concat(logits)), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    comp = Tensor(np.ones(len(batch), dtype=dtype))
-    ce = ad.scale(
-        ad.tmean(
-            ad.add(
-                ad.mul(y, ad.log(probs)),
-                ad.mul(one_minus_y, ad.log(ad.sub(comp, probs))),
-            )
-        ),
-        -1.0,
-    )
-    diff = ad.sub(x_true, ad.concat(raws))
-    mse = ad.tmean(ad.mul(diff, diff))
+    ce = _bce(ad.sigmoid(ad.concat(logits)), y)
+    mse = _mse(ad.concat(raws), x_true)
     return ce, mse, ad.add(ce, mse)
 
 
@@ -280,7 +278,7 @@ def select_validation_segments(
         for idx in sorted(int(i) for i in picks):
             out.append(ValExample(np.array(segs[idx], dtype=np.float32), y))
     if not out:
-        raise EmptySplit("validation split has no usable segments")
+        raise InsufficientData("validation split has no usable segments")
     return out
 
 
@@ -317,13 +315,13 @@ def train(
     """Full training loop; writes metrics.csv, best.ckpt, last.ckpt, manifest."""
     outcomes = {meta.outcome for meta, _ in dataset.values()}
     if len(outcomes) < 2:
-        raise SingleClassDataset(f"dataset contains only {outcomes} patients")
+        raise InsufficientData(f"dataset contains only {outcomes} patients")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     train_ids, val_ids = split_patients(dataset, train_cfg.split_ratio, train_cfg.seed)
     if not train_ids or not val_ids:
-        raise EmptySplit(
+        raise InsufficientData(
             f"split produced {len(train_ids)} train / {len(val_ids)} val patients"
         )
     params = init_params(model_cfg, seed=train_cfg.seed)

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognosis import autodiff as ad
-from prognosis.autodiff import (
-    NonFiniteValue,
-    NotScalarLoss,
-    ShapeMismatch,
-    Tensor,
-    finite_diff_grad,
-)
+from prognosis.autodiff import Tensor, finite_diff_grad
+from prognosis.errors import NonFiniteValue, ShapeMismatch
 
 
 def param(arr):
@@ -265,7 +260,7 @@ class TestBackward:
         assert np.allclose(unused.grad, 0.0)
 
     def test_not_scalar_loss(self):
-        with pytest.raises(NotScalarLoss):
+        with pytest.raises(ShapeMismatch, match="loss must be scalar"):
             param([1.0, 2.0]).backward()
 
     def test_diamond_graph_accumulates(self):

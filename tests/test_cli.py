@@ -201,6 +201,25 @@ class TestPreprocessCommand:
         assert "4 patients" in out
         assert (corpus / ".preprocessed").is_dir()
 
+    def test_skipped_hour_reported(self, capsys, tmp_path):
+        samples = np.random.default_rng(0).standard_normal((19, 30000))
+        full = eeg_io.RawRecording(
+            patient_id="p", hour_index=0, fs_hz=100.0,
+            electrodes=eeg_io.STANDARD_ELECTRODES, samples=samples.astype(np.float32),
+        )
+        keep = [i for i, e in enumerate(eeg_io.STANDARD_ELECTRODES) if e != "Cz"]
+        no_cz = eeg_io.RawRecording(
+            patient_id="p", hour_index=1, fs_hz=100.0,
+            electrodes=tuple(eeg_io.STANDARD_ELECTRODES[i] for i in keep),
+            samples=samples[keep].astype(np.float32),
+        )
+        meta = eeg_io.PatientMeta("p", eeg_io.GOOD, 1)
+        eeg_io.write_patient(meta, [full, no_cz], tmp_path)
+        code, out, err = run(capsys, "preprocess", "--data", str(tmp_path))
+        assert code == 0
+        assert "preprocessed 1 hours from 1 patients" in out
+        assert err == "skipped: patient p, hour 1: Cz\n"
+
 
 class TestGradcheckCommand:
     def test_small_pass(self, capsys):

@@ -7,15 +7,8 @@ from prognosis import eeg_io
 from prognosis.eeg_io import (
     GOOD,
     POOR,
-    EmptyDataset,
-    InvalidProfile,
-    IoFailure,
-    MalformedHeader,
-    MissingFile,
-    NonFiniteSample,
     PatientMeta,
     RawRecording,
-    SampleCountMismatch,
     SynthesisProfile,
     load_dataset,
     load_recording,
@@ -23,6 +16,7 @@ from prognosis.eeg_io import (
     write_patient,
     write_recording,
 )
+from prognosis.errors import BadConfig, DataFileError, InsufficientData, NonFiniteValue
 
 
 def make_recording(n_elec=19, n_samples=1000, seed=0):
@@ -66,7 +60,7 @@ class TestRecordingRoundTrip:
         hdr, sig = write_recording(rec, tmp_path)
         data = sig.read_bytes()
         sig.write_bytes(data[:-4])  # drop one sample: 19x999 + 18 values
-        with pytest.raises(SampleCountMismatch):
+        with pytest.raises(DataFileError, match="expected 19x1000=19000 values"):
             load_recording(hdr)
 
     def test_non_finite_signal_names_file(self, tmp_path):
@@ -75,17 +69,17 @@ class TestRecordingRoundTrip:
         samples = rec.samples.copy()
         samples[3, 7] = np.nan
         samples.tofile(sig)
-        with pytest.raises(NonFiniteSample, match=sig.name):
+        with pytest.raises(NonFiniteValue, match=sig.name):
             load_recording(hdr)
 
     def test_unwritable_directory(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
-        with pytest.raises(IoFailure):
+        with pytest.raises(DataFileError, match="cannot write recording"):
             write_recording(make_recording(), blocker / "sub")
 
     def test_missing_header(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(DataFileError, match="header not found"):
             load_recording(tmp_path / "nope.hdr.json")
 
     def test_malformed_header_unknown_field(self, tmp_path):
@@ -94,7 +88,7 @@ class TestRecordingRoundTrip:
         header = json.loads(hdr.read_text())
         header["surprise"] = 1
         hdr.write_text(json.dumps(header))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataFileError, match="unknown fields"):
             load_recording(hdr)
 
     def test_malformed_header_missing_field(self, tmp_path):
@@ -103,7 +97,7 @@ class TestRecordingRoundTrip:
         header = json.loads(hdr.read_text())
         del header["fs_hz"]
         hdr.write_text(json.dumps(header))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataFileError, match="missing fields"):
             load_recording(hdr)
 
 
@@ -114,11 +108,11 @@ class TestPatientMeta:
 
     @pytest.mark.parametrize("outcome,cpc", [(GOOD, 3), (POOR, 2), (POOR, 1)])
     def test_inconsistent_rejected(self, outcome, cpc):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataFileError, match="inconsistent with cpc"):
             PatientMeta("p", outcome, cpc)
 
     def test_bad_cpc(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataFileError, match="cpc must be in 1..5"):
             PatientMeta("p", GOOD, 0)
 
 
@@ -180,7 +174,7 @@ class TestSynthesis:
         ],
     )
     def test_invalid_profile(self, kwargs):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(BadConfig):
             SynthesisProfile(**kwargs)
 
 
@@ -217,9 +211,9 @@ class TestDataset:
         self._write_corpus(tmp_path, n_good=1, n_poor=0)
         (pdir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
         (pdir / "patient.json").unlink()
-        with pytest.raises(MissingFile, match=pdir.name):
+        with pytest.raises(DataFileError, match=pdir.name):
             load_dataset(tmp_path)
 
     def test_empty_dataset(self, tmp_path):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InsufficientData, match="no patients found"):
             load_dataset(tmp_path)

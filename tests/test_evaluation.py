@@ -3,11 +3,9 @@ import pytest
 
 from prognosis import evaluation as E
 from prognosis import model as M
-from prognosis.eeg_io import GOOD, POOR, PatientMeta
+from prognosis.eeg_io import GOOD, POOR, STANDARD_ELECTRODES, PatientMeta, RawRecording
+from prognosis.errors import InsufficientData, ShapeMismatch, UnusableRecording
 from prognosis.evaluation import (
-    EmptyInput,
-    NoUsableRecording,
-    SingleClassLabels,
     accuracy,
     challenge_metric,
     evaluate_split,
@@ -17,6 +15,7 @@ from prognosis.evaluation import (
     write_report,
 )
 from prognosis.model import ModelOutput, preset_config
+from prognosis.train import build_store
 
 
 def brute_force_metric(scores, labels, cap=0.05):
@@ -79,7 +78,7 @@ class TestPredict:
         assert pred.poor_prob == pytest.approx(0.9)
 
     def test_no_recordings(self, desk):
-        with pytest.raises(NoUsableRecording):
+        with pytest.raises(UnusableRecording, match="no recordings"):
             predict_patient({}, desk, [])
 
     def test_skips_unusable_hours(self, desk, monkeypatch, one_hour_recording):
@@ -105,7 +104,7 @@ class TestPredict:
             electrodes=tuple(one_hour_recording.electrodes[i] for i in keep),
             samples=one_hour_recording.samples[keep],
         )
-        with pytest.raises(NoUsableRecording, match="hour 0"):
+        with pytest.raises(UnusableRecording, match="hour 0"):
             predict_patient({}, desk, [broken])
 
 
@@ -132,9 +131,9 @@ class TestRoc:
         assert tprs == sorted(tprs) and fprs == sorted(fprs)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassLabels):
+        with pytest.raises(InsufficientData):
             roc_points([0.1, 0.9], [1, 1])
-        with pytest.raises(SingleClassLabels):
+        with pytest.raises(InsufficientData):
             roc_points([], [])
 
 
@@ -187,9 +186,9 @@ class TestAccuracy:
         assert accuracy([1, 1], [1, 1]) == 1.0
 
     def test_empty_or_mismatched(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ShapeMismatch):
             accuracy([], [])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ShapeMismatch):
             accuracy([1, 0], [1])
 
 
@@ -227,6 +226,33 @@ class TestEvaluateSplit:
                                       store=small_store)
         assert report["n_patients"] == 2
         assert [r["patient_id"] for r in rows] == sorted(ids)
+
+    def test_cache_scores_latest_usable_hour(self, desk, monkeypatch, tmp_path):
+        import dataclasses
+
+        def mean_forward(params, config, segment):
+            return ModelOutput(poor_prob=float(segment.mean()), cpc_raw=3.0, cpc_pred=3)
+
+        monkeypatch.setattr(E, "forward", mean_forward)
+        rng = np.random.default_rng(0)
+        dataset = {}
+        for pid, outcome, cpc in (("g", GOOD, 1), ("p", POOR, 4)):
+            recs = [
+                RawRecording(pid, h, 100.0, STANDARD_ELECTRODES,
+                             rng.standard_normal((19, 30000)))
+                for h in (0, 1)
+            ]
+            # hour 2 lacks O2, a montage electrode
+            recs.append(dataclasses.replace(
+                recs[0], hour_index=2, electrodes=STANDARD_ELECTRODES[:-1],
+                samples=recs[0].samples[:-1],
+            ))
+            dataset[pid] = (PatientMeta(pid, outcome, cpc), recs)
+        store = build_store(dataset, tmp_path)
+        assert store.hours("g") == store.hours("p") == [0, 1]
+        _, cached = evaluate_split({}, desk, dataset, store=store)
+        _, direct = evaluate_split({}, desk, dataset)
+        assert [r["poor_prob"] for r in cached] == [r["poor_prob"] for r in direct]
 
     def test_write_report(self, tmp_path):
         report = {"challenge_metric": 0.5, "accuracy": 0.75, "mse_cpc": 1.0,

@@ -4,12 +4,11 @@ import pytest
 from prognosis import autodiff as ad
 from prognosis import model as M
 from prognosis.autodiff import Tensor
-from prognosis.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from prognosis.checkpoint import load_checkpoint, save_checkpoint
+from prognosis.errors import BadConfig, DataFileError, ShapeMismatch
 from prognosis.model import (
-    BadConfig,
     ConvLayerSpec,
     ModelConfig,
-    ShapeMismatch,
     build_sequence,
     count_parameters,
     default_conv_layers,
@@ -270,11 +269,11 @@ class TestCheckpoint:
         path = save_checkpoint(tmp_path / "m.ckpt", desk, desk_params)
         data = path.read_bytes()
         path.write_bytes(data[:-100])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(DataFileError, match="truncated"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"hello world, this is not a checkpoint")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataFileError, match="not a checkpoint file"):
             load_checkpoint(bad)

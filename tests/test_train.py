@@ -6,15 +6,11 @@ import pytest
 from prognosis import autodiff as ad
 from prognosis import train as T
 from prognosis.autodiff import Tensor
-from prognosis.dsp import MissingElectrode
 from prognosis.eeg_io import GOOD, POOR, PatientMeta
+from prognosis.errors import InsufficientData, ShapeMismatch, UnusableRecording
 from prognosis.model import preset_config
 from prognosis.train import (
     AdamState,
-    EmptyBatch,
-    EmptySplit,
-    SingleClassDataset,
-    TooFewPatients,
     TrainConfig,
     adam_step,
     cross_entropy_loss,
@@ -37,7 +33,7 @@ class TestLosses:
         assert got == pytest.approx(-math.log(0.9), abs=1e-5)
 
     def test_ce_empty(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ShapeMismatch, match="empty"):
             cross_entropy_loss([], [])
 
     def test_mse_identity(self):
@@ -60,19 +56,7 @@ class TestLosses:
         rng = np.random.default_rng(0)
         logits = Tensor(rng.standard_normal(8), requires_grad=True)
         y = (rng.uniform(size=8) > 0.5).astype(np.float64)
-        probs = ad.clip(ad.sigmoid(logits), T.PROB_CLAMP, 1 - T.PROB_CLAMP)
-        yt = Tensor(y)
-        one_minus = Tensor(1.0 - y)
-        comp = Tensor(np.ones(8))
-        ce = ad.scale(
-            ad.tmean(
-                ad.add(
-                    ad.mul(yt, ad.log(probs)),
-                    ad.mul(one_minus, ad.log(ad.sub(comp, probs))),
-                )
-            ),
-            -1.0,
-        )
+        ce = T._bce(ad.sigmoid(logits), Tensor(y))
         logits.zero_grad()
         ce.backward()
         p = 1 / (1 + np.exp(-logits.data))
@@ -122,7 +106,7 @@ class TestAdam:
     def test_shape_mismatch(self):
         params = self._params()
         state = AdamState.fresh(params)
-        with pytest.raises(ad.ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="grad"):
             adam_step(params, {"w": np.zeros(3)}, state, TrainConfig())
 
 
@@ -170,7 +154,7 @@ class TestSplit:
                 assert outcomes == {GOOD, POOR}
 
     def test_too_few(self):
-        with pytest.raises(TooFewPatients):
+        with pytest.raises(InsufficientData, match="need >= 2 patients"):
             split_patients(fake_dataset(1, 0), 0.8, 0)
 
 
@@ -225,7 +209,7 @@ class TestSampler:
             assert 0.2 <= counts[pid] / n <= 0.3
 
     def test_empty_split(self):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InsufficientData, match="no patients in split"):
             sample_training_example([], StubStore(), {}, np.random.default_rng(0))
 
 
@@ -241,16 +225,33 @@ class TestStore:
             samples=rec.samples[keep],
         )
         meta = PatientMeta(rec.patient_id, GOOD, 1)
-        with pytest.raises(MissingElectrode, match=rec.patient_id):
+        with pytest.raises(UnusableRecording, match=rec.patient_id):
             T.build_store({rec.patient_id: (meta, [broken])}, tmp_path)
         assert not list(tmp_path.rglob("*.npy"))
+
+    def test_unusable_hour_skipped(self, one_hour_recording, tmp_path):
+        import dataclasses
+
+        rec = one_hour_recording
+        keep = [i for i, e in enumerate(rec.electrodes) if e != "Cz"]
+        broken = dataclasses.replace(
+            rec,
+            hour_index=1,
+            electrodes=tuple(rec.electrodes[i] for i in keep),
+            samples=rec.samples[keep],
+        )
+        meta = PatientMeta(rec.patient_id, GOOD, 1)
+        store = T.build_store({rec.patient_id: (meta, [rec, broken])}, tmp_path)
+        assert store.hours(rec.patient_id) == [0]
+        assert store.skipped == [f"patient {rec.patient_id}, hour 1: Cz"]
+        assert [p.name for p in tmp_path.rglob("*.npy")] == ["hour_0.npy"]
 
 
 class TestTrainLoop:
     def test_single_class_rejected(self, small_store, tmp_path):
         dataset = fake_dataset(3, 0)
         cfg = preset_config("desk")
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(InsufficientData, match="dataset contains only"):
             T.train(dataset, small_store, cfg, TrainConfig(max_iterations=1),
                     tmp_path / "run")
 

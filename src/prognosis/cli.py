@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, eeg_io, evaluation, gradcheck, model as model_mod, train as train_mod
 from .checkpoint import load_checkpoint
-from .errors import InsufficientData, PrognosisError
+from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError
 
 DEFAULT_RUNS_DIR_ENV = "PROGNOSIS_RUNS_DIR"
 
@@ -67,11 +67,16 @@ def cmd_preprocess(args) -> int:
 
 
 def _model_config_from_args(args) -> model_mod.ModelConfig:
-    if args.config:
+    if not args.config:
+        return model_mod.preset_config(args.preset)
+    try:
         with open(args.config) as fh:
             raw = json.load(fh)
-        return model_mod.ModelConfig.from_dict(raw.get("model", raw))
-    return model_mod.preset_config(args.preset)
+    except (ValueError, OSError) as exc:
+        raise DataFileError(f"{args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise BadConfig(f"{args.config}: config must be a JSON object, got {raw!r}")
+    return model_mod.ModelConfig.from_dict(raw.get("model", raw))
 
 
 def cmd_train(args) -> int:

@@ -145,9 +145,12 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     h = resample_filter_taps(up, down, fs_in, fs_out)
     delay = (len(h) - 1) // 2
     n_out = int(round(x.shape[-1] * fs_out / fs_in))
-    # Filter at the upsampled rate, then compensate group delay and decimate.
-    high = signal.upfirdn(h, x, up=up, down=1, axis=-1)
-    y = high[..., delay :: down]
+    # upfirdn computes only the kept, every down-th, upsampled-rate sample.
+    # Leading zeros on the taps put the group delay on that grid, so after
+    # the slice output k is upsampled-rate sample delay + k * down.
+    lead = (-delay) % down
+    h = np.concatenate([np.zeros(lead), h])
+    y = signal.upfirdn(h, x, up=up, down=down, axis=-1)[..., (delay + lead) // down :]
     if y.shape[-1] < n_out:
         pad = n_out - y.shape[-1]
         y = np.concatenate([y, np.zeros(y.shape[:-1] + (pad,))], axis=-1)

@@ -53,8 +53,8 @@ class RawRecording:
                 f"samples shape {self.samples.shape} does not match "
                 f"{len(self.electrodes)} electrodes"
             )
-        if self.fs_hz <= 0:
-            raise DataFileError(f"fs_hz must be positive, got {self.fs_hz}")
+        if not (0 < self.fs_hz <= sys.float_info.max):
+            raise DataFileError(f"fs_hz must be positive and finite, got {self.fs_hz}")
         if self.samples.shape[1] < 1:
             raise DataFileError("recording has no samples")
         if self.hour_index < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,7 +181,16 @@ class SegmentStore:
         if not path.is_file():
             segments = dsp.preprocess(rec)
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.save(path, segments)
+            # Write beside the target and rename over it, so an interrupted
+            # write never leaves a truncated hour_<k>.npy behind.
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    np.save(fh, segments)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:

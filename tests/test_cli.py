@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prognosis import cli, eeg_io
+from prognosis import model as model_mod
 
 
 def run(capsys, *argv):
@@ -96,6 +97,26 @@ class TestTrain:
                            "--iters", "1")
         assert code == 1
         assert "nope" in err
+
+    def test_config_file(self, capsys, tmp_path):
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps({"model": model_mod.preset_config("desk").to_dict()}))
+        code, out, _ = run(capsys, "train", "--config", str(path), "--dry-run")
+        assert code == 0
+        assert "sequence dims: 26x32" in out
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        missing = tmp_path / "none.json"
+        code, _, err = run(capsys, "train", "--config", str(missing), "--dry-run")
+        assert code == 1
+        assert err.startswith(f"error: {missing}: ")
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code, _, err = run(capsys, "train", "--config", str(path), "--dry-run")
+        assert code == 1
+        assert err == f"error: {path}: config must be a JSON object, got [1]\n"
 
     def test_data_required_without_dry_run(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from prognosis import dsp
 from prognosis.dsp import (
@@ -138,6 +140,45 @@ class TestResample:
     def test_irreducible_ratio(self):
         with pytest.raises(BadConfig, match="cannot express"):
             resample(np.ones(1000), 100 * math.pi, 100)
+
+    @pytest.mark.parametrize("fs_in", [128, 200, 250, 256, 500, 512, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 17, 999])
+    def test_matches_full_rate_reference(self, fs_in, n):
+        # Reference: filter the whole upsampled stream, keep every down-th
+        # sample from the group delay on, then zero-pad/truncate to n_out.
+        frac = dsp._resample_ratio(fs_in, 100.0)
+        up, down = frac.numerator, frac.denominator
+        h = dsp.resample_filter_taps(up, down, fs_in, 100.0)
+        delay = (len(h) - 1) // 2
+        n_out = int(round(n * 100.0 / fs_in))
+
+        def reference(x):
+            x = np.asarray(x, dtype=np.float64)
+            y = signal.upfirdn(h, x, up, 1)[..., delay::down]
+            tail = np.zeros(y.shape[:-1] + (max(n_out - y.shape[-1], 0),))
+            return np.concatenate([y, tail], axis=-1)[..., :n_out]
+
+        rng = np.random.default_rng(fs_in * 10000 + n)
+        strided = rng.standard_normal((6, 2 * n))[::2, ::2]
+        for x in (
+            rng.standard_normal(n),
+            strided,
+            rng.standard_normal((2, n)).astype(np.float32),
+        ):
+            y = resample(x, fs_in, 100.0)
+            assert y.shape == x.shape[:-1] + (n_out,)
+            assert np.array_equal(y, reference(x))
+
+    def test_peak_memory_scales_with_input(self):
+        # The full-rate stream at 512 Hz -> 100 Hz would be ~25x the input.
+        x = np.random.default_rng(0).standard_normal((19, 60 * 512))
+        tracemalloc.start()
+        try:
+            resample(x, 512, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
 
 
 class TestMinMax:

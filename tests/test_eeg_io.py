@@ -72,6 +72,11 @@ class TestRecordingRoundTrip:
         with pytest.raises(NonFiniteValue, match=sig.name):
             load_recording(hdr)
 
+    @pytest.mark.parametrize("fs_hz", [float("nan"), float("inf"), 0.0, -250.0])
+    def test_bad_rate_rejected(self, fs_hz):
+        with pytest.raises(DataFileError, match="fs_hz must be positive and finite"):
+            RawRecording("p", 0, fs_hz, ("Cz",), np.zeros((1, 5)))
+
     def test_unwritable_directory(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")

@@ -246,6 +246,27 @@ class TestStore:
         assert store.skipped == [f"patient {rec.patient_id}, hour 1: Cz"]
         assert [p.name for p in tmp_path.rglob("*.npy")] == ["hour_0.npy"]
 
+    def test_interrupted_write_leaves_no_cache_file(
+        self, one_hour_recording, tmp_path, monkeypatch
+    ):
+        real_save = np.save
+
+        def failing_save(file, arr):
+            real_save(file, arr[:1])  # a valid file holding part of the data
+            raise OSError("disk full")
+
+        store = T.SegmentStore(tmp_path)
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            store.add_recording(one_hour_recording)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert store.hours(one_hour_recording.patient_id) == []
+
+        monkeypatch.setattr(np, "save", real_save)
+        store.add_recording(one_hour_recording)
+        segs = store.segments(one_hour_recording.patient_id, 0)
+        assert segs.shape == (12, 18, 30000)
+
 
 class TestTrainLoop:
     def test_single_class_rejected(self, small_store, tmp_path):

@@ -86,10 +86,10 @@ def _read_tensor(buf: memoryview, offset: int, shape, path) -> tuple[np.ndarray,
     if offset + nbytes > len(buf):
         raise DataFileError(f"{path}: checkpoint truncated")
     arr = np.frombuffer(buf[offset : offset + nbytes], dtype="<f4").reshape(shape)
-    return arr.copy(), offset + nbytes
+    return arr.astype(np.float32), offset + nbytes
 
 
-def load_checkpoint(path, dtype=np.float32):
+def load_checkpoint(path):
     """Returns (config, params, adam_fields, meta).
 
     adam_fields is None or (t, m_dict, v_dict).
@@ -126,7 +126,7 @@ def load_checkpoint(path, dtype=np.float32):
     for name, shape in _manifest(header.get("tensors"), path):
         arr, offset = _read_tensor(buf, offset, shape, path)
         try:
-            params[name] = Tensor(arr.astype(dtype), requires_grad=True)
+            params[name] = Tensor(arr, requires_grad=True)
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"{path}: {name}: {exc}") from exc
     adam_fields = None

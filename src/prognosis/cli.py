@@ -27,27 +27,21 @@ def _runs_root() -> Path:
 
 
 def cmd_synthesize(args) -> int:
-    rng_base = args.seed
     root = Path(args.out)
-    count = 0
-    for i in range(args.good):
-        profile = eeg_io.SynthesisProfile(
-            outcome=eeg_io.GOOD, seed=rng_base + i, n_hours=args.hours, fs_hz=args.fs
-        )
-        recs, meta = eeg_io.synthesize_patient(profile)
-        eeg_io.write_patient(meta, recs, root)
-        count += 1
-    for i in range(args.poor):
-        profile = eeg_io.SynthesisProfile(
-            outcome=eeg_io.POOR,
-            seed=rng_base + 100000 + i,
-            n_hours=args.hours,
-            fs_hz=args.fs,
-        )
-        recs, meta = eeg_io.synthesize_patient(profile)
-        eeg_io.write_patient(meta, recs, root)
-        count += 1
-    print(f"wrote {count} patients ({args.good} Good, {args.poor} Poor) to {root}")
+    for outcome, count, seed in (
+        (eeg_io.GOOD, args.good, args.seed),
+        (eeg_io.POOR, args.poor, args.seed + 100000),
+    ):
+        for i in range(count):
+            profile = eeg_io.SynthesisProfile(
+                outcome=outcome, seed=seed + i, n_hours=args.hours, fs_hz=args.fs
+            )
+            recs, meta = eeg_io.synthesize_patient(profile)
+            eeg_io.write_patient(meta, recs, root)
+    print(
+        f"wrote {args.good + args.poor} patients ({args.good} Good, {args.poor} Poor) "
+        f"to {root}"
+    )
     return 0
 
 
@@ -99,9 +93,6 @@ def cmd_train(args) -> int:
             f"forward ok: poor_prob={out.poor_prob:.4f} cpc_pred={out.cpc_pred}"
         )
         return 0
-    dataset = eeg_io.load_dataset(args.data)
-    cache = Path(args.cache) if args.cache else _default_cache(args.data)
-    store = train_mod.build_store(dataset, cache)
     train_cfg = train_mod.TrainConfig(
         batch_size=args.batch,
         learning_rate=args.lr,
@@ -110,6 +101,9 @@ def cmd_train(args) -> int:
         split_ratio=args.split_ratio,
         seed=args.seed,
     )
+    dataset = eeg_io.load_dataset(args.data)
+    cache = Path(args.cache) if args.cache else _default_cache(args.data)
+    store = train_mod.build_store(dataset, cache)
     run_dir = Path(args.run) if args.run else _runs_root() / f"run-{args.preset}-{args.seed}"
     result = train_mod.train(
         dataset, store, cfg, train_cfg, run_dir, dataset_path=args.data
@@ -121,18 +115,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_ids(dataset, meta: dict, which: str):
+def _split_ids(meta: dict, which: str, checkpoint: str):
     if which == "all":
         return None
-    if which == "train":
-        return meta.get("train_patients") or None
-    return meta.get("val_patients") or None
+    ids = meta.get(f"{which}_patients")
+    if not ids:
+        raise InsufficientData(f"{checkpoint}: checkpoint records no {which} split")
+    return ids
 
 
 def cmd_evaluate(args) -> int:
     config, params, _, meta = load_checkpoint(args.checkpoint)
     dataset = eeg_io.load_dataset(args.data)
-    ids = _split_ids(dataset, meta, args.split)
+    ids = _split_ids(meta, args.split, args.checkpoint)
     if ids is not None:
         missing = [pid for pid in ids if pid not in dataset]
         if missing:
@@ -231,15 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model")
+    defaults = train_mod.TrainConfig()
     p.add_argument("--data")
     p.add_argument("--preset", default="desk", choices=sorted(model_mod.PRESETS))
     p.add_argument("--config", help="JSON model config file (overrides --preset)")
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--batch", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.0001)
-    p.add_argument("--eval-every", type=int, default=25)
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=defaults.max_iterations)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--eval-every", type=int, default=defaults.eval_every)
+    p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--run", help="run directory (default under runs root)")
     p.add_argument("--cache")
     p.add_argument("--dry-run", action="store_true",

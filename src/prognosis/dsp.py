@@ -8,6 +8,7 @@ then the bipolar montage, then segmentation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,8 +134,10 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     Output length is round(n_in * fs_out / fs_in); identical rates return
     the input unchanged.
     """
-    if fs_in <= 0 or fs_out <= 0:
-        raise BadConfig(f"rates must be positive, got fs_in={fs_in}, fs_out={fs_out}")
+    if not (0 < fs_in <= sys.float_info.max and 0 < fs_out <= sys.float_info.max):
+        raise BadConfig(
+            f"rates must be positive and finite, got fs_in={fs_in}, fs_out={fs_out}"
+        )
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise ShapeMismatch("need at least 2 samples to resample")
@@ -170,15 +173,15 @@ def minmax_rescale(x) -> np.ndarray:
     return out
 
 
-def to_bipolar(samples, electrodes, montage=MONTAGE) -> np.ndarray:
-    """Row i = anode_i - cathode_i, in montage order."""
+def to_bipolar(samples, electrodes) -> np.ndarray:
+    """Row i = anode_i - cathode_i, in MONTAGE order."""
     samples = np.asarray(samples)
     index = {name: i for i, name in enumerate(electrodes)}
-    for pair in montage:
+    for pair in MONTAGE:
         for name in (pair.anode, pair.cathode):
             if name not in index:
                 raise UnusableRecording(name)
-    rows = [samples[index[p.anode]] - samples[index[p.cathode]] for p in montage]
+    rows = [samples[index[p.anode]] - samples[index[p.cathode]] for p in MONTAGE]
     return np.stack(rows)
 
 
@@ -197,16 +200,12 @@ def segment(bipolar: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(1, 0, 2), dtype=np.float32)
 
 
-def preprocess(
-    rec: RawRecording,
-    band_hz: tuple[float, float] = DEFAULT_BAND_HZ,
-    order: int = DEFAULT_ORDER,
-) -> np.ndarray:
+def preprocess(rec: RawRecording) -> np.ndarray:
     """Full pipeline: filter, resample to 100 Hz, rescale, bipolar, segment.
 
     Returns float32 [n_segments, 18, 30000] with values in [-1, 1].
     """
-    cascade = design_butterworth_bandpass(band_hz[0], band_hz[1], order, rec.fs_hz)
+    cascade = design_butterworth_bandpass(*DEFAULT_BAND_HZ, DEFAULT_ORDER, rec.fs_hz)
     filtered = filter_signal(cascade, rec.samples)
     resampled = resample(filtered, rec.fs_hz, TARGET_FS_HZ)
     rescaled = minmax_rescale(resampled)

@@ -100,10 +100,10 @@ class SynthesisProfile:
             raise BadConfig(f"outcome must be Good or Poor, got {self.outcome!r}")
         if self.n_hours < 1:
             raise BadConfig(f"n_hours must be >= 1, got {self.n_hours}")
-        if self.fs_hz <= 70:
+        if not (70 < self.fs_hz <= sys.float_info.max):
             raise BadConfig(
-                f"fs_hz must exceed 70 so 35 Hz content is representable, "
-                f"got {self.fs_hz}"
+                f"fs_hz must be finite and exceed 70 so 35 Hz content is "
+                f"representable, got {self.fs_hz}"
             )
         lo, hi = self.oscillation_band_hz
         if not (0 < lo < hi < self.fs_hz / 2):
@@ -235,29 +235,9 @@ def write_patient(meta: PatientMeta, recordings, root) -> Path:
     return pdir
 
 
-def _pink_noise(
-    rng: np.random.Generator, n: int, fs: float, exponent: float
-) -> np.ndarray:
-    """1/f^exponent (power) noise, unit standard deviation.
-
-    The shaping is floored below 1 Hz so power does not diverge at DC.
-    """
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    shaping = np.maximum(freqs, 1.0) ** (-exponent / 2.0)
-    shaping[0] = 0.0
-    x = np.fft.irfft(spec * shaping, n)
-    return x / np.std(x)
-
-
-def _band_noise(rng: np.random.Generator, n: int, fs: float, lo: float, hi: float) -> np.ndarray:
-    """Band-limited noise with all power inside [lo, hi] Hz, unit std."""
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    spec[(freqs < lo) | (freqs > hi)] = 0.0
-    x = np.fft.irfft(spec, n)
+def _shaped_noise(rng: np.random.Generator, n: int, gain: np.ndarray) -> np.ndarray:
+    """n samples of white noise with the rfft spectrum scaled by ``gain``, unit std."""
+    x = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * gain, n)
     return x / np.std(x)
 
 
@@ -277,17 +257,21 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
     meta = PatientMeta(patient_id=patient_id, outcome=profile.outcome, cpc=cpc)
 
     n = int(round(3600 * profile.fs_hz))
+    freqs = np.fft.rfftfreq(n, d=1.0 / profile.fs_hz)
+    lo, hi = profile.oscillation_band_hz
+    band = (freqs >= lo) & (freqs <= hi)
+    # 1/f^exponent power, floored below 1 Hz so power does not diverge at DC
+    pink = (freqs > 0) * np.maximum(freqs, 1.0) ** (-profile.noise_exponent / 2.0)
     recordings = []
     for hour in range(profile.n_hours):
         samples = np.empty((len(STANDARD_ELECTRODES), n), dtype=np.float32)
         for e in range(len(STANDARD_ELECTRODES)):
             if profile.outcome == GOOD:
-                lo, hi = profile.oscillation_band_hz
-                osc = _band_noise(rng, n, profile.fs_hz, lo, hi)
-                noise = _pink_noise(rng, n, profile.fs_hz, profile.noise_exponent)
+                osc = _shaped_noise(rng, n, band)
+                noise = _shaped_noise(rng, n, pink)
                 x = 30.0 * osc + 10.0 * noise
             else:
-                base = _pink_noise(rng, n, profile.fs_hz, profile.noise_exponent)
+                base = _shaped_noise(rng, n, pink)
                 t = np.arange(n) / profile.fs_hz
                 phase = np.floor(t / profile.burst_period_s).astype(np.int64)
                 envelope = np.where(

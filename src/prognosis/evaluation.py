@@ -141,10 +141,6 @@ def evaluate_split(
     """
     ids = sorted(patient_ids) if patient_ids is not None else sorted(dataset)
     rows = []
-    scores = []
-    labels = []
-    pred_outcomes = []
-    cpc_sq_err = []
     for pid in ids:
         meta, recs = dataset[pid]
         if store is not None and store.hours(pid):
@@ -154,11 +150,6 @@ def evaluate_split(
             )
         else:
             pred = predict_patient(params, config, recs, aggregate=aggregate)
-        y = 1 if meta.outcome == POOR else 0
-        scores.append(pred.poor_prob)
-        labels.append(y)
-        pred_outcomes.append(1 if pred.poor_prob >= 0.5 else 0)
-        cpc_sq_err.append((pred.cpc_pred - meta.cpc) ** 2)
         rows.append(
             {
                 "patient_id": pid,
@@ -169,10 +160,12 @@ def evaluate_split(
                 "n_segments_used": pred.n_segments_used,
             }
         )
+    scores = [r["poor_prob"] for r in rows]
+    labels = [int(r["outcome"] == POOR) for r in rows]
     report = {
         "challenge_metric": challenge_metric(scores, labels),
-        "accuracy": accuracy(pred_outcomes, labels),
-        "mse_cpc": float(np.mean(cpc_sq_err)),
+        "accuracy": accuracy([int(s >= 0.5) for s in scores], labels),
+        "mse_cpc": float(np.mean([(r["cpc_pred"] - r["cpc_true"]) ** 2 for r in rows])),
         "n_patients": len(ids),
     }
     return report, rows

@@ -14,6 +14,7 @@ from .train import TrainingExample, batch_loss_tensors
 # gradients are dominated by finite-difference truncation noise, so the
 # comparison degrades to an absolute check there.
 REL_DENOM_FLOOR = 1e-2
+N_EXAMPLES = 2  # one of each outcome
 
 
 @dataclass
@@ -46,7 +47,6 @@ def check_model_gradients(
     n_coords: int = 200,
     seed: int = 0,
     h: float = 1e-3,
-    batch_size: int = 2,
 ) -> GradCheckResult:
     """Compare backward() against central differences on random coordinates.
 
@@ -55,7 +55,7 @@ def check_model_gradients(
     """
     rng = np.random.default_rng(seed)
     params = init_params(config, seed=seed, dtype=np.float64)
-    batch = _random_examples(config, rng, batch_size)
+    batch = _random_examples(config, rng, N_EXAMPLES)
 
     _, _, total = batch_loss_tensors(params, config, batch)
     for p in params.values():

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +21,32 @@ from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .eeg_io import GOOD, POOR, PatientMeta, RawRecording
+from .eeg_io import GOOD, POOR, RawRecording
 from .errors import BadConfig, InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
 PROB_CLAMP = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+VAL_SEGMENTS_PER_PATIENT = 4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 10
     learning_rate: float = 0.0001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_iterations: int = 300
     eval_every: int = 25
     split_ratio: float = 0.8
     seed: int = 0
-    val_segments_per_patient: int = 4
 
     def __post_init__(self):
         if not (0 < self.split_ratio < 1):
             raise BadConfig(f"split_ratio must be in (0,1), got {self.split_ratio}")
-        if self.batch_size < 1:
-            raise BadConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "max_iterations", "eval_every"):
+            if getattr(self, name) < 1:
+                raise BadConfig(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -126,7 +127,7 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -139,7 +140,7 @@ def adam_step(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        p.data -= (cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(
+        p.data -= (cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(
             p.data.dtype
         )
 
@@ -218,6 +219,17 @@ def build_store(dataset, cache_dir) -> SegmentStore:
     return store
 
 
+def _example(dataset, pid: str, segment: np.ndarray) -> TrainingExample:
+    """A float32 copy of one cached segment, labelled from its patient."""
+    meta = dataset[pid][0]
+    return TrainingExample(
+        segment_data=np.array(segment, dtype=np.float32),
+        y=1 if meta.outcome == POOR else 0,
+        x=meta.cpc,
+        patient_id=pid,
+    )
+
+
 def sample_training_example(
     split_ids: list[str], store: SegmentStore, dataset, rng: np.random.Generator
 ) -> TrainingExample:
@@ -230,14 +242,7 @@ def sample_training_example(
         raise InsufficientData(f"patient {pid} has no preprocessed hours")
     hour = hours[int(rng.integers(len(hours)))]
     segs = store.segments(pid, hour)
-    idx = int(rng.integers(segs.shape[0]))
-    meta = dataset[pid][0]
-    return TrainingExample(
-        segment_data=np.array(segs[idx], dtype=np.float32),
-        y=1 if meta.outcome == POOR else 0,
-        x=meta.cpc,
-        patient_id=pid,
-    )
+    return _example(dataset, pid, segs[int(rng.integers(segs.shape[0]))])
 
 
 def batch_loss_tensors(
@@ -260,40 +265,29 @@ def batch_loss_tensors(
     return ce, mse, ad.add(ce, mse)
 
 
-@dataclass
-class ValExample:
-    segment_data: np.ndarray
-    y: int
-
-
 def select_validation_segments(
-    val_ids: list[str],
-    store: SegmentStore,
-    dataset,
-    seed: int,
-    per_patient: int,
-) -> list[ValExample]:
+    val_ids: list[str], store: SegmentStore, dataset, seed: int
+) -> list[TrainingExample]:
     """Fixed, seeded set of validation segments (a few per patient)."""
     rng = np.random.default_rng(seed + 1)
-    out: list[ValExample] = []
+    out: list[TrainingExample] = []
     for pid in val_ids:
         hours = store.hours(pid)
         if not hours:
             continue
         hour = hours[int(rng.integers(len(hours)))]
         segs = store.segments(pid, hour)
-        k = min(per_patient, segs.shape[0])
+        k = min(VAL_SEGMENTS_PER_PATIENT, segs.shape[0])
         picks = rng.choice(segs.shape[0], size=k, replace=False)
-        y = 1 if dataset[pid][0].outcome == POOR else 0
         for idx in sorted(int(i) for i in picks):
-            out.append(ValExample(np.array(segs[idx], dtype=np.float32), y))
+            out.append(_example(dataset, pid, segs[idx]))
     if not out:
         raise InsufficientData("validation split has no usable segments")
     return out
 
 
 def validation_accuracy(
-    params: dict[str, Tensor], config: ModelConfig, val_examples: list[ValExample]
+    params: dict[str, Tensor], config: ModelConfig, val_examples: list[TrainingExample]
 ) -> float:
     correct = 0
     for ex in val_examples:
@@ -310,8 +304,6 @@ class TrainResult:
     metrics_csv: Path
     best_val_accuracy: float
     best_iteration: int
-    train_ids: list[str] = field(default_factory=list)
-    val_ids: list[str] = field(default_factory=list)
 
 
 def train(
@@ -337,9 +329,7 @@ def train(
     params = init_params(model_cfg, seed=train_cfg.seed)
     adam = AdamState.fresh(params)
     sampler = np.random.default_rng(train_cfg.seed)
-    val_examples = select_validation_segments(
-        val_ids, store, dataset, train_cfg.seed, train_cfg.val_segments_per_patient
-    )
+    val_examples = select_validation_segments(val_ids, store, dataset, train_cfg.seed)
 
     started = time.time()
     meta_common = {
@@ -351,7 +341,7 @@ def train(
     }
     best_acc = -1.0
     best_iter = 0
-    best_snapshot: dict[str, Tensor] | None = None
+    best_snapshot: dict[str, Tensor]  # the last iteration always validates
     rows: list[tuple] = []
     for it in range(1, train_cfg.max_iterations + 1):
         batch = [
@@ -386,10 +376,6 @@ def train(
         for it, ce, mse, tot, acc in rows:
             writer.writerow([it, f"{ce:.6f}", f"{mse:.6f}", f"{tot:.6f}", acc])
 
-    if best_snapshot is None:
-        best_snapshot = params
-        best_acc = validation_accuracy(params, model_cfg, val_examples)
-        best_iter = train_cfg.max_iterations
     best_ckpt = save_checkpoint(
         run_dir / "best.ckpt",
         model_cfg,
@@ -407,15 +393,7 @@ def train(
         "run_id": run_dir.name,
         "model_config": model_cfg.to_dict(),
         "train_config": {
-            "batch_size": train_cfg.batch_size,
-            "learning_rate": train_cfg.learning_rate,
-            "beta1": train_cfg.beta1,
-            "beta2": train_cfg.beta2,
-            "eps": train_cfg.eps,
-            "max_iterations": train_cfg.max_iterations,
-            "eval_every": train_cfg.eval_every,
-            "split_ratio": train_cfg.split_ratio,
-            "seed": train_cfg.seed,
+            **asdict(train_cfg), "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS
         },
         "dataset_path": str(dataset_path),
         "version": "eeg-prognosis 0.1.0",
@@ -431,6 +409,4 @@ def train(
         metrics_csv=metrics_csv,
         best_val_accuracy=best_acc,
         best_iteration=best_iter,
-        train_ids=train_ids,
-        val_ids=val_ids,
     )

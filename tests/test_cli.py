@@ -6,6 +6,7 @@ import pytest
 
 from prognosis import cli, eeg_io
 from prognosis import model as model_mod
+from prognosis.checkpoint import load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -240,6 +241,31 @@ class TestPreprocessCommand:
         assert code == 0
         assert "preprocessed 1 hours from 1 patients" in out
         assert err == "skipped: patient p, hour 1: Cz\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
+                      "--eval-every", "0", "--run", "{tmp}/run"],
+                     "eval_every", id="eval-every-0"),
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
+                      "--iters", "0", "--run", "{tmp}/run"],
+                     "max_iterations", id="iters-0"),
+        pytest.param(["synthesize", "--good", "1", "--poor", "0", "--fs", "inf",
+                      "--out", "{tmp}/data"], "fs_hz", id="fs-inf"),
+        pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint",
+                      "{tmp}/no-split.ckpt", "--split", "val", "--out", "{tmp}/eval"],
+                     "no-split.ckpt", id="split-not-recorded"),
+    ],
+)
+def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, named):
+    config, params, _, _ = load_checkpoint(trained_run / "best.ckpt")
+    save_checkpoint(tmp_path / "no-split.ckpt", config, params)  # no meta
+    code, _, err = run(capsys, *(a.format(corpus=corpus, tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert named in err
 
 
 class TestGradcheckCommand:

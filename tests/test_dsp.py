@@ -134,6 +134,10 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(BadConfig, match="rates must be positive"):
             resample(np.ones(10), -1, 100)
+        for fs_in, fs_out in ((math.nan, 100), (math.inf, 100), (250, math.nan),
+                              (250, math.inf)):
+            with pytest.raises(BadConfig, match="rates must be positive and finite"):
+                resample(np.ones(10), fs_in, fs_out)
         with pytest.raises(ShapeMismatch, match="at least 2 samples"):
             resample(np.ones(1), 200, 100)
 

@@ -176,11 +176,15 @@ class TestSynthesis:
             dict(outcome=GOOD, seed=0, n_hours=0),
             dict(outcome=GOOD, seed=0, fs_hz=50.0),
             dict(outcome=GOOD, seed=0, oscillation_band_hz=(12.0, 8.0)),
+            dict(outcome=GOOD, seed=0, fs_hz=float("nan")),
+            dict(outcome=GOOD, seed=0, fs_hz=float("inf")),
         ],
     )
     def test_invalid_profile(self, kwargs):
-        with pytest.raises(BadConfig):
+        with pytest.raises(BadConfig) as exc:
             SynthesisProfile(**kwargs)
+        if "fs_hz" in kwargs:
+            assert "fs_hz" in str(exc.value)
 
 
 class TestDataset:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .eeg_io import write_file
 from .errors import BadConfig, DataFileError, NonFiniteValue
 from .model import ModelConfig
 
@@ -37,7 +38,6 @@ def save_checkpoint(
     adam_state=None,
     meta: dict | None = None,
 ) -> Path:
-    path = Path(path)
     names = sorted(params)
     header = {
         "config": config.to_dict(),
@@ -51,21 +51,18 @@ def save_checkpoint(
         },
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(blob)))
-            fh.write(blob)
+
+    def write(fh):
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(blob)))
+        fh.write(blob)
+        for n in names:
+            fh.write(params[n].data.astype("<f4").tobytes())
+        if adam_state is not None:
             for n in names:
-                fh.write(params[n].data.astype("<f4").tobytes())
-            if adam_state is not None:
-                for n in names:
-                    fh.write(np.asarray(adam_state.m[n]).astype("<f4").tobytes())
-                    fh.write(np.asarray(adam_state.v[n]).astype("<f4").tobytes())
-    except OSError as exc:
-        raise DataFileError(f"cannot write checkpoint {path}: {exc}") from exc
-    return path
+                fh.write(np.asarray(adam_state.m[n]).astype("<f4").tobytes())
+                fh.write(np.asarray(adam_state.v[n]).astype("<f4").tobytes())
+    return write_file(path, "checkpoint", write, "wb")
 
 
 def _manifest(entries, path) -> list[tuple[str, tuple[int, ...]]]:

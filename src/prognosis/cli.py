@@ -136,7 +136,8 @@ def cmd_evaluate(args) -> int:
             )
     store = None
     if args.cache:
-        store = train_mod.build_store(dataset, Path(args.cache))
+        scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
+        store = train_mod.build_store(scored, Path(args.cache))
     report, rows = evaluation.evaluate_split(
         params, config, dataset, patient_ids=ids, store=store,
         aggregate=args.aggregate,

@@ -13,7 +13,9 @@ channel-major (all samples of electrode 0, then electrode 1, ...).
 from __future__ import annotations
 
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -110,8 +112,29 @@ class SynthesisProfile:
             raise BadConfig(f"bad oscillation band {self.oscillation_band_hz}")
 
 
+def write_file(path, what: str, write, mode: str = "w") -> Path:
+    """Make ``path``'s directory, then (unless ``write`` is None) fill a temp file
+    beside it with ``write(fh)`` and rename that over ``path``: an interrupted
+    write leaves neither. An OSError becomes DataFileError naming ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if write is not None:
+            with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+                write(fh)
+            os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):  # under a regular file, unlink fails too
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataFileError(f"cannot write {what} {path}: {exc}") from exc
+        raise
+    return path
+
+
 def write_recording(rec: RawRecording, directory) -> tuple[Path, Path]:
-    """Write header + raw float32 signal; returns (header_path, signal_path)."""
+    """Write raw float32 signal, then header; returns (header_path, signal_path)."""
     directory = Path(directory)
     stem = f"hour_{rec.hour_index}"
     header_path = directory / f"{stem}.hdr.json"
@@ -125,13 +148,9 @@ def write_recording(rec: RawRecording, directory) -> tuple[Path, Path]:
         "signal_file": signal_path.name,
         "dtype": FORMAT_DTYPE_TAG,
     }
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(header_path, "w") as fh:
-            json.dump(header, fh, indent=1)
-        rec.samples.astype(SIGNAL_DTYPE).tofile(signal_path)
-    except OSError as exc:
-        raise DataFileError(f"cannot write recording to {directory}: {exc}") from exc
+    # signal first, so a header on disk implies its samples are complete
+    write_file(signal_path, "recording", rec.samples.astype(SIGNAL_DTYPE).tofile, "wb")
+    write_file(header_path, "recording", lambda fh: json.dump(header, fh, indent=1))
     return header_path, signal_path
 
 
@@ -224,12 +243,8 @@ def load_recording(header_path) -> RawRecording:
 def write_patient(meta: PatientMeta, recordings, root) -> Path:
     """Write a full patient directory (metadata + all recordings)."""
     pdir = Path(root) / meta.patient_id
-    try:
-        pdir.mkdir(parents=True, exist_ok=True)
-        with open(pdir / "patient.json", "w") as fh:
-            json.dump(asdict(meta), fh, indent=1)
-    except OSError as exc:
-        raise DataFileError(f"cannot write patient dir {pdir}: {exc}") from exc
+    record = asdict(meta)
+    write_file(pdir / "patient.json", "patient record", lambda fh: json.dump(record, fh, indent=1))
     for rec in recordings:
         write_recording(rec, pdir)
     return pdir

@@ -18,7 +18,7 @@ class BadConfig(PrognosisError):
 
 
 class DataFileError(PrognosisError):
-    """A recording, header, patient record or checkpoint is missing or bad."""
+    """A data file is missing or bad, or an output cannot be written."""
 
 
 class UnusableRecording(PrognosisError):

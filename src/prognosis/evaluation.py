@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dsp
 from .autodiff import Tensor
-from .eeg_io import POOR, PatientMeta, RawRecording
+from .eeg_io import POOR, RawRecording, write_file
 from .errors import InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, forward
 
@@ -174,16 +174,15 @@ def evaluate_split(
 def write_report(report: dict, rows: list[dict], out_dir) -> tuple[Path, Path]:
     """Emit report.json and patients.csv."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=1)
-    csv_path = out_dir / "patients.csv"
     fields = ["patient_id", "poor_prob", "outcome", "cpc_pred", "cpc_true",
               "n_segments_used"]
-    with open(csv_path, "w", newline="") as fh:
+
+    def write_rows(fh):
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "poor_prob": f"{row['poor_prob']:.6f}"})
-    return report_path, csv_path
+    return (
+        write_file(out_dir / "report.json", "report", lambda fh: json.dump(report, fh, indent=1)),
+        write_file(out_dir / "patients.csv", "patient table", write_rows),
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,8 +21,8 @@ from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .eeg_io import GOOD, POOR, RawRecording
-from .errors import BadConfig, InsufficientData, ShapeMismatch, UnusableRecording
+from .eeg_io import GOOD, POOR, RawRecording, write_file
+from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
 PROB_CLAMP = 1e-7
@@ -44,6 +44,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.split_ratio < 1):
             raise BadConfig(f"split_ratio must be in (0,1), got {self.split_ratio}")
+        if not (0 < self.learning_rate <= sys.float_info.max):
+            raise BadConfig(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         for name in ("batch_size", "max_iterations", "eval_every"):
             if getattr(self, name) < 1:
                 raise BadConfig(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -181,24 +185,18 @@ class SegmentStore:
         path = self._path(rec.patient_id, rec.hour_index)
         if not path.is_file():
             segments = dsp.preprocess(rec)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Write beside the target and rename over it, so an interrupted
-            # write never leaves a truncated hour_<k>.npy behind.
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    np.save(fh, segments)
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            write_file(path, "cache file", lambda fh: np.save(fh, segments), "wb")
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:
         return sorted(self._index.get(patient_id, {}))
 
     def segments(self, patient_id: str, hour_index: int) -> np.ndarray:
-        return np.load(self._index[patient_id][hour_index], mmap_mode="r")
+        path = self._index[patient_id][hour_index]
+        try:
+            return np.load(path, mmap_mode="r")
+        except (ValueError, OSError) as exc:
+            raise DataFileError(f"cache file {path}: {exc}") from exc
 
 
 def build_store(dataset, cache_dir) -> SegmentStore:
@@ -319,7 +317,8 @@ def train(
     if len(outcomes) < 2:
         raise InsufficientData(f"dataset contains only {outcomes} patients")
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    metrics_csv = run_dir / "metrics.csv"
+    write_file(metrics_csv, "metrics", None)  # an unusable run_dir fails before training
 
     train_ids, val_ids = split_patients(dataset, train_cfg.split_ratio, train_cfg.seed)
     if not train_ids or not val_ids:
@@ -369,13 +368,12 @@ def train(
             (it, float(ce_t.data), float(mse_t.data), float(total_t.data), val_acc)
         )
 
-    metrics_csv = run_dir / "metrics.csv"
-    with open(metrics_csv, "w", newline="") as fh:
+    def write_metrics(fh):
         writer = csv.writer(fh)
         writer.writerow(["iteration", "ce", "mse", "total", "val_accuracy"])
         for it, ce, mse, tot, acc in rows:
             writer.writerow([it, f"{ce:.6f}", f"{mse:.6f}", f"{tot:.6f}", acc])
-
+    write_file(metrics_csv, "metrics", write_metrics)
     best_ckpt = save_checkpoint(
         run_dir / "best.ckpt",
         model_cfg,
@@ -400,8 +398,7 @@ def train(
         "started_unix": started,
         "ended_unix": time.time(),
     }
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    write_file(run_dir / "manifest.json", "manifest", lambda fh: json.dump(manifest, fh, indent=1))
     return TrainResult(
         run_dir=run_dir,
         best_ckpt=best_ckpt,

@@ -159,6 +159,19 @@ class TestEvaluate:
         report = json.loads((tmp_path / "eval" / "report.json").read_text())
         assert report["n_patients"] == 2
 
+    def test_val_split_caches_only_scored_patients(
+        self, capsys, corpus, trained_run, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        code, _, _ = run(
+            capsys, "evaluate", "--data", str(corpus),
+            "--checkpoint", str(trained_run / "best.ckpt"),
+            "--cache", str(cache), "--split", "val", "--out", str(tmp_path / "eval"),
+        )
+        assert code == 0
+        val_ids = load_checkpoint(trained_run / "best.ckpt")[3]["val_patients"]
+        assert sorted(p.name for p in cache.iterdir()) == sorted(val_ids)
+
     def test_truncated_checkpoint(self, capsys, corpus, trained_run, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes((trained_run / "best.ckpt").read_bytes()[:-64])
@@ -257,6 +270,23 @@ class TestPreprocessCommand:
         pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint",
                       "{tmp}/no-split.ckpt", "--split", "val", "--out", "{tmp}/eval"],
                      "no-split.ckpt", id="split-not-recorded"),
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
+                      "--iters", "1", "--lr", "nan", "--run", "{tmp}/run"],
+                     "learning_rate", id="lr-nan"),
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
+                      "--iters", "1", "--lr=-1", "--run", "{tmp}/run"],
+                     "learning_rate", id="lr-negative"),
+        # under a regular file: each write fails as an error naming the path
+        pytest.param(["preprocess", "--data", "{corpus}",
+                      "--cache", "{tmp}/no-split.ckpt/cache"],
+                     "no-split.ckpt/cache", id="cache-under-file"),
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
+                      "--iters", "1", "--eval-every", "1",
+                      "--run", "{tmp}/no-split.ckpt/run"],
+                     "no-split.ckpt/run", id="run-under-file"),
+        pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint",
+                      "{tmp}/no-split.ckpt", "--out", "{tmp}/no-split.ckpt/eval"],
+                     "no-split.ckpt/eval", id="out-under-file"),
     ],
 )
 def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, named):

@@ -1,5 +1,6 @@
 """The failure vocabulary, and typed failures of the file parsers."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -40,6 +41,54 @@ def test_one_class_per_failure_meaning():
     classes = list(all_subclasses(PrognosisError))
     assert sorted(c.__name__ for c in classes) == sorted(VOCABULARY)
     assert all(c.__module__ == "prognosis.errors" for c in classes)
+
+
+# Calls that put a file or directory on disk by themselves.
+WRITE_METHODS = {"mkdir", "tofile", "write_text", "write_bytes", "touch", "rename"}
+WRITE_FUNCTIONS = {"os.replace", "os.rename", "os.makedirs", "np.save", "np.savez"}
+
+
+def is_write(call: ast.Call) -> bool:
+    func = ast.unparse(call.func)
+    if func == "open":
+        mode = call.args[1:2] or [k.value for k in call.keywords if k.arg == "mode"]
+        return bool(mode) and not (
+            isinstance(mode[0], ast.Constant) and set(mode[0].value) <= set("rbt")
+        )
+    return func in WRITE_FUNCTIONS or (
+        isinstance(call.func, ast.Attribute) and call.func.attr in WRITE_METHODS
+    )
+
+
+def disk_writes(node, module: str):
+    """(line, call) of each write under ``node`` made outside ``eeg_io.write_file``.
+
+    The ``write`` callback handed to ``write_file`` only fills the temp file
+    that ``write_file`` opened, so calls inside it are not writes of their own.
+    """
+    if module == "eeg_io" and getattr(node, "name", None) == "write_file":
+        return
+    callback = []
+    if isinstance(node, ast.Call):
+        if is_write(node):
+            yield node.lineno, ast.unparse(node.func)
+        if ast.unparse(node.func).split(".")[-1] == "write_file":
+            callback = node.args[2:3] + [k.value for k in node.keywords if k.arg == "write"]
+    for child in ast.iter_child_nodes(node):
+        if child not in callback:
+            yield from disk_writes(child, module)
+
+
+def test_one_writer():
+    found = {}
+    for mod in pkgutil.iter_modules(prognosis.__path__):
+        tree = ast.parse(Path(prognosis.__path__[0], f"{mod.name}.py").read_text())
+        found.update({f"{mod.name}:{line}": call for line, call in disk_writes(tree, mod.name)})
+        if mod.name == "eeg_io":  # the guard sees the writes write_file makes
+            (helper,) = [n for n in tree.body if getattr(n, "name", "") == "write_file"]
+            seen = {call for _, call in disk_writes(helper, "")}
+            assert {"open", "os.replace", "path.parent.mkdir"} <= seen
+    assert found == {}
 
 
 def write_recording(directory: Path) -> Path:

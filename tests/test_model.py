@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,16 @@ class TestCheckpoint:
         assert t == 5
         assert np.allclose(m["class_head.b"], 0.5)
         assert np.allclose(v["class_head.b"], 0.0)
+
+    def test_interrupted_save_leaves_nothing(self, desk, desk_params, tmp_path):
+        class Interrupting:
+            def __getitem__(self, name):
+                raise KeyboardInterrupt  # after the parameters were written
+
+        state = SimpleNamespace(t=1, m=Interrupting(), v={})
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(tmp_path / "best.ckpt", desk, desk_params, adam_state=state)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated(self, desk, desk_params, tmp_path):
         path = save_checkpoint(tmp_path / "m.ckpt", desk, desk_params)

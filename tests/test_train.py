@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from prognosis import autodiff as ad
 from prognosis import train as T
 from prognosis.autodiff import Tensor
 from prognosis.eeg_io import GOOD, POOR, PatientMeta
-from prognosis.errors import InsufficientData, ShapeMismatch, UnusableRecording
+from prognosis.errors import DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from prognosis.model import preset_config
 from prognosis.train import (
     AdamState,
@@ -257,7 +258,7 @@ class TestStore:
 
         store = T.SegmentStore(tmp_path)
         monkeypatch.setattr(np, "save", failing_save)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(DataFileError, match="disk full"):
             store.add_recording(one_hour_recording)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         assert store.hours(one_hour_recording.patient_id) == []
@@ -267,6 +268,14 @@ class TestStore:
         segs = store.segments(one_hour_recording.patient_id, 0)
         assert segs.shape == (12, 18, 30000)
 
+    def test_truncated_cache_file_is_a_data_error(self, one_hour_recording, tmp_path):
+        store = T.SegmentStore(tmp_path)
+        store.add_recording(one_hour_recording)
+        path = store._path(one_hour_recording.patient_id, 0)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DataFileError, match=re.escape(str(path))):
+            store.segments(one_hour_recording.patient_id, 0)
+
 
 class TestTrainLoop:
     def test_single_class_rejected(self, small_store, tmp_path):
@@ -275,6 +284,19 @@ class TestTrainLoop:
         with pytest.raises(InsufficientData, match="dataset contains only"):
             T.train(dataset, small_store, cfg, TrainConfig(max_iterations=1),
                     tmp_path / "run")
+
+    def test_unusable_run_dir_fails_before_training(
+        self, small_dataset, small_store, tmp_path, monkeypatch
+    ):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(T, "sample_training_example", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        with pytest.raises(DataFileError, match=re.escape(str(blocker / "run"))):
+            T.train(small_dataset, small_store, preset_config("desk"),
+                    TrainConfig(max_iterations=1), blocker / "run")
 
     def test_smoke_and_determinism(self, small_dataset, small_store, tmp_path):
         cfg = preset_config("desk")

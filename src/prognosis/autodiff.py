@@ -302,61 +302,47 @@ def softmax(x: Tensor) -> Tensor:
     return _make(y, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (1/d variance), then affine."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or shift.data.shape != (d,):
-        raise ShapeMismatch(f"layer_norm: x {x.data.shape}, gain {gain.data.shape}")
+def _normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float, expand, sum_axes) -> Tensor:
+    """Normalize over the last axis (1/n variance), then ``gain[expand] * xhat +
+    shift[expand]``; the gain and shift gradients sum over ``sum_axes``."""
     mean = np.mean(x.data, axis=-1, keepdims=True)
     var = np.var(x.data, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv_std
-    y = gain.data * xhat + shift.data
+    y = gain.data[expand] * xhat + shift.data[expand]
 
     def backward(g: np.ndarray):
-        gx = g * gain.data
+        gx = g * gain.data[expand]
         dx = inv_std * (
             gx
             - np.mean(gx, axis=-1, keepdims=True)
             - xhat * np.mean(gx * xhat, axis=-1, keepdims=True)
         )
-        axes = tuple(range(g.ndim - 1))
         return [
             (x, dx),
-            (gain, np.sum(g * xhat, axis=axes)),
-            (shift, np.sum(g, axis=axes)),
+            (gain, np.sum(g * xhat, axis=sum_axes)),
+            (shift, np.sum(g, axis=sum_axes)),
         ]
 
     return _make(y, (x, gain, shift), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis (1/d variance), then affine."""
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or shift.data.shape != (d,):
+        raise ShapeMismatch(f"layer_norm: x {x.data.shape}, gain {gain.data.shape}")
+    return _normalize(x, gain, shift, eps, ..., tuple(range(x.data.ndim - 1)))
 
 
 def instance_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization of a [C, L] signal (1/L variance), then affine."""
     if x.data.ndim != 2:
         raise ShapeMismatch(f"instance_norm expects [C, L], got {x.data.shape}")
-    c, length = x.data.shape
+    c = x.data.shape[0]
     if gain.data.shape != (c,) or shift.data.shape != (c,):
         raise ShapeMismatch(f"instance_norm: x {x.data.shape}, gain {gain.data.shape}")
-    mean = np.mean(x.data, axis=1, keepdims=True)
-    var = np.var(x.data, axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    y = gain.data[:, None] * xhat + shift.data[:, None]
-
-    def backward(g: np.ndarray):
-        gx = g * gain.data[:, None]
-        dx = inv_std * (
-            gx
-            - np.mean(gx, axis=1, keepdims=True)
-            - xhat * np.mean(gx * xhat, axis=1, keepdims=True)
-        )
-        return [
-            (x, dx),
-            (gain, np.sum(g * xhat, axis=1)),
-            (shift, np.sum(g, axis=1)),
-        ]
-
-    return _make(y, (x, gain, shift), backward)
+    return _normalize(x, gain, shift, eps, np.s_[:, None], 1)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int) -> Tensor:

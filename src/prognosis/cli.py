@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, eeg_io, evaluation, gradcheck, model as model_mod, train as train_mod
 from .checkpoint import load_checkpoint
-from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError
+from .errors import InsufficientData, PrognosisError
 
 DEFAULT_RUNS_DIR_ENV = "PROGNOSIS_RUNS_DIR"
 
@@ -60,21 +60,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _model_config_from_args(args) -> model_mod.ModelConfig:
-    if not args.config:
-        return model_mod.preset_config(args.preset)
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (ValueError, OSError) as exc:
-        raise DataFileError(f"{args.config}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise BadConfig(f"{args.config}: config must be a JSON object, got {raw!r}")
-    return model_mod.ModelConfig.from_dict(raw.get("model", raw))
-
-
 def cmd_train(args) -> int:
-    cfg = _model_config_from_args(args)
+    cfg = model_mod.preset_config(args.preset)
     if args.dry_run:
         params = model_mod.init_params(cfg, seed=args.seed)
         n = model_mod.count_parameters(params)
@@ -102,9 +89,11 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     dataset = eeg_io.load_dataset(args.data)
+    run_dir = Path(args.run) if args.run else _runs_root() / f"run-{args.preset}-{args.seed}"
+    # an unusable run directory fails before the corpus is preprocessed
+    eeg_io.write_file(run_dir / "metrics.csv", "metrics", None)
     cache = Path(args.cache) if args.cache else _default_cache(args.data)
     store = train_mod.build_store(dataset, cache)
-    run_dir = Path(args.run) if args.run else _runs_root() / f"run-{args.preset}-{args.seed}"
     result = train_mod.train(
         dataset, store, cfg, train_cfg, run_dir, dataset_path=args.data
     )
@@ -134,6 +123,8 @@ def cmd_evaluate(args) -> int:
             raise InsufficientData(
                 f"checkpoint split references patients absent from dataset: {missing}"
             )
+    # an unusable output directory fails before any patient is scored
+    eeg_io.write_file(Path(args.out) / "report.json", "report", None)
     store = None
     if args.cache:
         scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
@@ -229,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     defaults = train_mod.TrainConfig()
     p.add_argument("--data")
-    p.add_argument("--preset", default="desk", choices=sorted(model_mod.PRESETS))
-    p.add_argument("--config", help="JSON model config file (overrides --preset)")
+    p.add_argument("--preset", default="desk", choices=sorted(model_mod.PRESETS),
+                   help="one row of the paper's architecture table")
     p.add_argument("--iters", type=int, default=defaults.max_iterations)
     p.add_argument("--batch", type=int, default=defaults.batch_size)
     p.add_argument("--lr", type=float, default=defaults.learning_rate)

@@ -84,6 +84,12 @@ class PatientMeta:
             )
 
 
+BURST_PERIOD_S = 6.0
+SUPPRESSION_AMPLITUDE = 0.05
+OSCILLATION_BAND_HZ = (8.0, 12.0)
+NOISE_EXPONENT = 1.0
+
+
 @dataclass(frozen=True)
 class SynthesisProfile:
     """Parameters for one synthetic patient."""
@@ -92,10 +98,6 @@ class SynthesisProfile:
     seed: int
     n_hours: int = 1
     fs_hz: float = 250.0
-    burst_period_s: float = 6.0
-    suppression_amplitude: float = 0.05
-    oscillation_band_hz: tuple[float, float] = (8.0, 12.0)
-    noise_exponent: float = 1.0
 
     def __post_init__(self):
         if self.outcome not in (GOOD, POOR):
@@ -107,9 +109,6 @@ class SynthesisProfile:
                 f"fs_hz must be finite and exceed 70 so 35 Hz content is "
                 f"representable, got {self.fs_hz}"
             )
-        lo, hi = self.oscillation_band_hz
-        if not (0 < lo < hi < self.fs_hz / 2):
-            raise BadConfig(f"bad oscillation band {self.oscillation_band_hz}")
 
 
 def write_file(path, what: str, write, mode: str = "w") -> Path:
@@ -261,7 +260,7 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
 
     Good outcome: stationary alpha-range oscillation plus 1/f noise.
     Poor outcome: burst suppression, alternating full-amplitude and
-    suppressed phases of ``burst_period_s`` seconds each.
+    suppressed phases of ``BURST_PERIOD_S`` seconds each.
     """
     rng = np.random.default_rng(profile.seed)
     if profile.outcome == GOOD:
@@ -273,10 +272,10 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
 
     n = int(round(3600 * profile.fs_hz))
     freqs = np.fft.rfftfreq(n, d=1.0 / profile.fs_hz)
-    lo, hi = profile.oscillation_band_hz
+    lo, hi = OSCILLATION_BAND_HZ
     band = (freqs >= lo) & (freqs <= hi)
     # 1/f^exponent power, floored below 1 Hz so power does not diverge at DC
-    pink = (freqs > 0) * np.maximum(freqs, 1.0) ** (-profile.noise_exponent / 2.0)
+    pink = (freqs > 0) * np.maximum(freqs, 1.0) ** (-NOISE_EXPONENT / 2.0)
     recordings = []
     for hour in range(profile.n_hours):
         samples = np.empty((len(STANDARD_ELECTRODES), n), dtype=np.float32)
@@ -288,10 +287,8 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
             else:
                 base = _shaped_noise(rng, n, pink)
                 t = np.arange(n) / profile.fs_hz
-                phase = np.floor(t / profile.burst_period_s).astype(np.int64)
-                envelope = np.where(
-                    phase % 2 == 0, 1.0, profile.suppression_amplitude
-                )
+                phase = np.floor(t / BURST_PERIOD_S).astype(np.int64)
+                envelope = np.where(phase % 2 == 0, 1.0, SUPPRESSION_AMPLITUDE)
                 x = 40.0 * base * envelope
             samples[e] = x.astype(np.float32)
         recordings.append(

@@ -11,7 +11,9 @@ single-layer heads read the summary token states.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
+from functools import cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,8 +35,10 @@ class ConvLayerSpec:
             raise BadConfig(f"bad conv layer spec: {self}")
 
 
+@cache
 def default_conv_layers(embed_dim: int) -> tuple[ConvLayerSpec, ...]:
-    """The 7-layer schedule: kernels (5,3,3,3,4,3,3), strides (5,3,3,3,3,2,3).
+    """The paper's 7-layer schedule: kernels (5,3,3,3,4,3,3), strides
+    (5,3,3,3,3,2,3), instance norm after the first layer only.
 
     Maps 30000 samples to 12 tokens with receptive field 2970 and jump 2430.
     """
@@ -66,28 +70,27 @@ def receptive_field(conv_layers) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """One row of the paper's architecture table. The conv schedule and the
+    segment length are fixed by the paper, not settable."""
+
     n_bipolar_channels: int = 18
     embed_dim: int = 768
     n_attention_blocks: int = 8
     n_heads: int = 8
     ffn_hidden: int = 3072
-    segment_len: int = SEGMENT_SAMPLES
-    conv_layers: tuple[ConvLayerSpec, ...] = field(default=None)  # type: ignore[assignment]
+    segment_len: ClassVar[int] = SEGMENT_SAMPLES
 
     def __post_init__(self):
-        if self.conv_layers is None:
-            object.__setattr__(self, "conv_layers", default_conv_layers(self.embed_dim))
+        if self.embed_dim < 1:
+            raise BadConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise BadConfig(
                 f"embed_dim {self.embed_dim} not divisible by {self.n_heads} heads"
             )
-        for i, layer in enumerate(self.conv_layers):
-            if layer.has_instance_norm and i != 0:
-                raise BadConfig("instance norm is only allowed in the first layer")
-        if self.conv_layers[-1].out_channels != self.embed_dim:
-            raise BadConfig("final conv width must equal embed_dim")
-        # Token count is fixed by the conv schedule; fail fast if it drifts.
-        self.tokens_per_channel
+
+    @property
+    def conv_layers(self) -> tuple[ConvLayerSpec, ...]:
+        return default_conv_layers(self.embed_dim)
 
     @property
     def tokens_per_channel(self) -> int:
@@ -98,41 +101,33 @@ class ModelConfig:
         return self.n_bipolar_channels * self.tokens_per_channel + 2
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "conv_layers": [asdict(c) for c in self.conv_layers]}
+        """The table row plus the fixed schedule, as a checkpoint records it."""
+        return {**asdict(self), "segment_len": self.segment_len,
+                "conv_layers": [asdict(c) for c in self.conv_layers]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``; a missing or mistyped field is a BadConfig."""
-        d = _typed(d, "model config", _CONFIG_FIELDS,
-                   segment_len=SEGMENT_SAMPLES, conv_layers=None)
-        conv = d.pop("conv_layers")
-        if conv is not None:
-            conv = tuple(ConvLayerSpec(**_typed(c, "conv layer", _CONV_FIELDS)) for c in conv)
-        return cls(**d, conv_layers=conv)
+    def from_dict(cls, d) -> "ModelConfig":
+        """Inverse of ``to_dict``, for checkpoints: a missing or mistyped field,
+        or a segment length or conv schedule other than the paper's, is a
+        BadConfig."""
+        if type(d) is not dict:
+            raise BadConfig(f"model config must be a JSON object, got {d!r}")
+        for key, kind in _CONFIG_FIELDS.items():  # exact types: a bool is not an int
+            if type(d.get(key)) is not kind:
+                raise BadConfig(f"model config: {key} must be {kind.__name__}, got {d.get(key)!r}")
+        config = cls(**{f.name: d[f.name] for f in fields(cls)})
+        paper = config.to_dict()
+        for key in ("segment_len", "conv_layers"):
+            if d[key] != paper[key]:
+                raise BadConfig(f"model config: {key} differs from the paper's fixed value")
+        return config
 
 
 _CONFIG_FIELDS = {
     **dict.fromkeys(("n_bipolar_channels", "embed_dim", "n_attention_blocks", "n_heads",
-                     "ffn_hidden", "segment_len"), (int,)),
-    "conv_layers": (list, type(None)),
+                     "ffn_hidden", "segment_len"), int),
+    "conv_layers": list,
 }
-_CONV_FIELDS = {
-    **dict.fromkeys(("kernel", "stride", "out_channels"), (int,)),
-    "has_instance_norm": (bool,),
-}
-
-
-def _typed(record, what: str, fields: dict, **defaults) -> dict:
-    """The listed fields of a JSON object, defaults filled in; each must have
-    one of its listed types exactly (a bool is not an int)."""
-    if type(record) is not dict:
-        raise BadConfig(f"{what} must be a JSON object, got {record!r}")
-    record = {**defaults, **record}
-    for key, kinds in fields.items():
-        if type(record.get(key)) not in kinds:
-            names = " or ".join(k.__name__ for k in kinds)
-            raise BadConfig(f"{what}: {key} must be {names}, got {record.get(key)!r}")
-    return {key: record[key] for key in fields}
 
 
 # Table-style architecture presets: (channels, blocks, heads). Entries 1 and 2

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from prognosis import cli, eeg_io
-from prognosis import model as model_mod
 from prognosis.checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -99,25 +98,10 @@ class TestTrain:
         assert code == 1
         assert "nope" in err
 
-    def test_config_file(self, capsys, tmp_path):
-        path = tmp_path / "desk.json"
-        path.write_text(json.dumps({"model": model_mod.preset_config("desk").to_dict()}))
-        code, out, _ = run(capsys, "train", "--config", str(path), "--dry-run")
-        assert code == 0
-        assert "sequence dims: 26x32" in out
-
-    def test_missing_config_file(self, capsys, tmp_path):
-        missing = tmp_path / "none.json"
-        code, _, err = run(capsys, "train", "--config", str(missing), "--dry-run")
-        assert code == 1
-        assert err.startswith(f"error: {missing}: ")
-
-    def test_config_not_an_object(self, capsys, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1]")
-        code, _, err = run(capsys, "train", "--config", str(path), "--dry-run")
-        assert code == 1
-        assert err == f"error: {path}: config must be a JSON object, got [1]\n"
+    def test_config_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:  # --preset is the one way to pick a model
+            cli.main(["train", "--config", "desk.json", "--dry-run"])
+        assert exc.value.code == 2
 
     def test_data_required_without_dry_run(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -296,6 +280,24 @@ def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, name
     assert code == 1
     assert err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5", "--iters", "1",
+                      "--run", "{tmp}/file/run"], id="train"),
+        pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint", "{ckpt}",
+                      "--out", "{tmp}/file/eval"], id="evaluate"),
+    ],
+)
+def test_unusable_output_fails_before_preprocessing(capsys, corpus, trained_run, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(corpus=corpus, tmp=tmp_path, ckpt=trained_run / "best.ckpt") for a in argv]
+    code, _, err = run(capsys, *argv, "--cache", str(tmp_path / "cache"))
+    assert code == 1
+    assert err.startswith("error: cannot write ") and str(tmp_path / "file") in err
+    assert not (tmp_path / "cache").exists()
 
 
 class TestGradcheckCommand:

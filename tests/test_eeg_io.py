@@ -134,12 +134,12 @@ class TestSynthesis:
         recs, _ = synthesize_patient(profile)
         r = recs[0]
         t = np.arange(r.samples.shape[1]) / r.fs_hz
-        in_suppression = np.floor(t / profile.burst_period_s).astype(int) % 2 == 1
+        in_suppression = np.floor(t / eeg_io.BURST_PERIOD_S).astype(int) % 2 == 1
         ratio = (
             np.abs(r.samples[:, in_suppression]).mean()
             / np.abs(r.samples[:, ~in_suppression]).mean()
         )
-        assert ratio == pytest.approx(profile.suppression_amplitude, rel=0.2)
+        assert ratio == pytest.approx(eeg_io.SUPPRESSION_AMPLITUDE, rel=0.2)
 
     def test_good_psd_peak_in_band(self):
         profile = SynthesisProfile(outcome=GOOD, seed=4, fs_hz=200.0)
@@ -175,7 +175,6 @@ class TestSynthesis:
             dict(outcome="Middling", seed=0),
             dict(outcome=GOOD, seed=0, n_hours=0),
             dict(outcome=GOOD, seed=0, fs_hz=50.0),
-            dict(outcome=GOOD, seed=0, oscillation_band_hz=(12.0, 8.0)),
             dict(outcome=GOOD, seed=0, fs_hz=float("nan")),
             dict(outcome=GOOD, seed=0, fs_hz=float("inf")),
         ],

@@ -185,6 +185,12 @@ BAD_FILES = {
         "checkpoint", put("config", "n_heads", value=0), "not divisible by 0 heads",
     ),
     "checkpoint list": ("checkpoint", as_list, "not a JSON object"),
+    "checkpoint conv stride": (
+        "checkpoint", put("config", "conv_layers", 2, "stride", value=2), "conv_layers differs",
+    ),
+    "checkpoint segment_len": (
+        "checkpoint", put("config", "segment_len", value=30001), "segment_len differs",
+    ),
 }
 
 

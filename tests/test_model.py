@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,12 +84,11 @@ class TestConfig:
             ModelConfig(n_bipolar_channels=2, embed_dim=32, n_attention_blocks=1,
                         n_heads=5, ffn_hidden=64)
 
-    def test_instance_norm_only_first_layer(self):
-        layers = list(default_conv_layers(32))
-        layers[3] = ConvLayerSpec(3, 3, 32, has_instance_norm=True)
-        with pytest.raises(BadConfig):
-            ModelConfig(n_bipolar_channels=2, embed_dim=32, n_attention_blocks=1,
-                        n_heads=2, ffn_hidden=64, conv_layers=tuple(layers))
+    def test_config_is_a_table_row(self, desk):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "n_bipolar_channels", "embed_dim", "n_attention_blocks", "n_heads", "ffn_hidden",
+        ]
+        assert desk.conv_layers is ModelConfig(embed_dim=32, n_heads=2).conv_layers
 
     def test_round_trip_dict(self, desk):
         assert ModelConfig.from_dict(desk.to_dict()) == desk
@@ -289,3 +292,22 @@ class TestCheckpoint:
         bad.write_bytes(b"hello world, this is not a checkpoint")
         with pytest.raises(DataFileError, match="not a checkpoint file"):
             load_checkpoint(bad)
+
+
+# sha256 digests of the checkpoint format, computed before the conv schedule
+# became a constant: saved checkpoints stay loadable only while these hold.
+DESK_HEADER_SHA256 = "c9b102363beeffa857db9a396abfdaf882cec33b0600219533335aa4d8a76f71"
+PRESET_DICTS_SHA256 = "7fa2efd569a637b0560ee55307cf8d5e002b07646d96383a3d9eb6d88cbcb60e"
+
+
+class TestCheckpointFormat:
+    def test_desk_header_bytes(self, desk, desk_params, tmp_path):
+        raw = save_checkpoint(tmp_path / "m.ckpt", desk, desk_params,
+                              meta={"note": "pin"}).read_bytes()
+        (hlen,) = struct.unpack("<I", raw[12:16])
+        assert hashlib.sha256(raw[: 16 + hlen]).hexdigest() == DESK_HEADER_SHA256
+
+    def test_preset_dicts(self):
+        dicts = {name: preset_config(name).to_dict() for name in sorted(M.PRESETS)}
+        blob = json.dumps(dicts).encode()  # key order matters: the manifest keeps it
+        assert hashlib.sha256(blob).hexdigest() == PRESET_DICTS_SHA256

@@ -5,9 +5,13 @@ instance/layer normalization, GELU (exact erf form), affine maps, softmax,
 batched matmul, and the elementwise/reduction glue to assemble losses.
 A central finite-difference oracle is provided for gradient verification.
 
-Forward values are checked for finiteness after every op; reductions use
-numpy's deterministic last-axis-first order, so forward and backward are
-bit-reproducible for fixed inputs.
+Forward values are checked for finiteness after every op. Reductions run
+in numpy or BLAS in a fixed order for a fixed BLAS thread count, so forward
+and backward are bit-reproducible for fixed inputs on a given machine.
+
+The conv stem's activations are time-major in memory: each [C, L] signal is
+the transpose of a C-contiguous [L, C] array, so a conv window or a
+per-channel statistic reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -279,12 +283,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact normal CDF (erf form)."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    phi_cdf = np.divide(x.data, _SQRT2)
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     y = x.data * phi_cdf
 
     def backward(g: np.ndarray):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return [(x, g * (phi_cdf + x.data * pdf))]
+        # g * (Phi(x) + x * pdf(x)), one buffer
+        d = np.multiply(x.data, -0.5)
+        d *= x.data
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x.data
+        d += phi_cdf
+        d *= g
+        return [(x, d)]
 
     return _make(y, (x,), backward)
 
@@ -302,27 +316,34 @@ def softmax(x: Tensor) -> Tensor:
     return _make(y, (x,), backward)
 
 
-def _normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float, expand, sum_axes) -> Tensor:
-    """Normalize over the last axis (1/n variance), then ``gain[expand] * xhat +
-    shift[expand]``; the gain and shift gradients sum over ``sum_axes``."""
-    mean = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    y = gain.data[expand] * xhat + shift.data[expand]
+def _normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float, per_row: bool) -> Tensor:
+    """Normalize over the last axis (1/n variance), then ``gain * xhat + shift``,
+    with one gain and shift per row (instance norm) or per last-axis entry
+    (layer norm). Last-axis means are matrix-vector products, so BLAS reads
+    an array in its memory order whatever its layout."""
+    n = x.data.shape[-1]
+    avg = np.full(n, 1.0 / n, dtype=x.data.dtype)
+    expand = np.s_[..., None] if per_row else ...
+    xhat = x.data - (x.data @ avg)[..., None]
+    inv_std = 1.0 / np.sqrt((xhat * xhat) @ avg + eps)[..., None]
+    xhat *= inv_std
+    y = xhat * gain.data[expand]
+    y += shift.data[expand]
 
     def backward(g: np.ndarray):
         gx = g * gain.data[expand]
-        dx = inv_std * (
-            gx
-            - np.mean(gx, axis=-1, keepdims=True)
-            - xhat * np.mean(gx * xhat, axis=-1, keepdims=True)
-        )
-        return [
-            (x, dx),
-            (gain, np.sum(g * xhat, axis=sum_axes)),
-            (shift, np.sum(g, axis=sum_axes)),
-        ]
+        mean_gx = (gx @ avg)[..., None]
+        mean_gx_xhat = ((gx * xhat) @ avg)[..., None]
+        gx -= mean_gx
+        gx -= xhat * mean_gx_xhat
+        gx *= inv_std
+        if per_row:
+            ones = np.ones(n, dtype=g.dtype)
+            dgain, dshift = (g * xhat) @ ones, g @ ones
+        else:
+            lead = tuple(range(g.ndim - 1))
+            dgain, dshift = np.sum(g * xhat, axis=lead), np.sum(g, axis=lead)
+        return [(x, gx), (gain, dgain), (shift, dshift)]
 
     return _make(y, (x, gain, shift), backward)
 
@@ -332,7 +353,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ShapeMismatch(f"layer_norm: x {x.data.shape}, gain {gain.data.shape}")
-    return _normalize(x, gain, shift, eps, ..., tuple(range(x.data.ndim - 1)))
+    return _normalize(x, gain, shift, eps, per_row=False)
 
 
 def instance_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -342,7 +363,7 @@ def instance_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> 
     c = x.data.shape[0]
     if gain.data.shape != (c,) or shift.data.shape != (c,):
         raise ShapeMismatch(f"instance_norm: x {x.data.shape}, gain {gain.data.shape}")
-    return _normalize(x, gain, shift, eps, np.s_[:, None], 1)
+    return _normalize(x, gain, shift, eps, per_row=True)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int) -> Tensor:
@@ -364,21 +385,39 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int) -> Tensor:
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
     l_out = (length - k) // stride + 1
-    # im2col: [L_out, C_in * k]
-    windows = sliding_window_view(x.data, k, axis=1)[:, ::stride, :]
-    col = np.ascontiguousarray(windows.transpose(1, 0, 2)).reshape(l_out, c_in * k)
-    w_mat = w.data.reshape(c_out, c_in * k)
-    y = (col @ w_mat.T + bias.data).T  # [C_out, L_out]
+    # im2col over the time-major [L, C_in]: window l is rows l*stride .. l*stride+k-1,
+    # flattened in (tap, channel) order
+    xt = x.data.T
+    if k == stride:  # the windows tile the input: a view when xt is C-contiguous
+        col = xt[: l_out * k].reshape(l_out, k * c_in)
+    else:  # overlapping windows, rows stride * c_in elements apart: one copy
+        col = np.ascontiguousarray(
+            sliding_window_view(xt, k, axis=0)[::stride].transpose(0, 2, 1)
+        ).reshape(l_out, k * c_in)
+
+    def w_mat() -> np.ndarray:
+        """[C_out, k * C_in] in (tap, channel) order. Built on use: for C_in > 1
+        it is a copy, and the tape should not keep one per call."""
+        return w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+
+    y = col @ w_mat().T
+    y += bias.data
+    y = y.T  # [C_out, L_out]
 
     def backward(g: np.ndarray):
-        g_t = g.T  # [L_out, C_out]
-        dw = (g_t.T @ col).reshape(c_out, c_in, k)
+        dw = (g @ col).reshape(c_out, k, c_in).transpose(0, 2, 1)
         db = g.sum(axis=1)
-        dcol = (g_t @ w_mat).reshape(l_out, c_in, k).transpose(1, 0, 2)
-        dx = np.zeros_like(x.data)
-        for j in range(k):
-            dx[:, j : j + stride * l_out : stride] += dcol[:, :, j]
-        return [(x, dx), (w, dw), (bias, db)]
+        if not (x.requires_grad or x._backward is not None):
+            return [(w, dw), (bias, db)]  # e.g. the raw segment into conv0
+        dcol = g.T @ w_mat()
+        dxt = np.zeros_like(xt, order="C")
+        if k == stride:  # col2im is the same reshape
+            dxt[: l_out * k] = dcol.reshape(l_out * k, c_in)
+        else:
+            dcol = dcol.reshape(l_out, k, c_in)
+            for j in range(k):
+                dxt[j : j + stride * l_out : stride] += dcol[:, j]
+        return [(x, dxt.T), (w, dw), (bias, db)]
 
     return _make(y, (x, w, bias), backward)
 

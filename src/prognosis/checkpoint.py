@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor
 from .eeg_io import write_file
 from .errors import BadConfig, DataFileError, NonFiniteValue
-from .model import ModelConfig
+from .model import ModelConfig, param_table
 
 MAGIC = b"EEGPCKPT"
 VERSION = 1
@@ -65,8 +65,9 @@ def save_checkpoint(
     return write_file(path, "checkpoint", write, "wb")
 
 
-def _manifest(entries, path) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each entry of a header's tensor list."""
+def _manifest(entries, config: ModelConfig, path) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each entry of a header's tensor list, which must name
+    every parameter of ``config`` once, in its shape."""
     if type(entries) is not list:
         raise DataFileError(f"{path}: tensor list must be a list, got {entries!r}")
     for e in entries:
@@ -75,7 +76,22 @@ def _manifest(entries, path) -> list[tuple[str, tuple[int, ...]]]:
             and all(type(d) is int and d >= 0 for d in e["shape"])
         ):
             raise DataFileError(f"{path}: bad tensor entry {e!r}")
-    return [(e["name"], tuple(e["shape"])) for e in entries]
+    manifest = [(e["name"], tuple(e["shape"])) for e in entries]
+    needed = {name: shape for name, shape, _ in param_table(config)}
+    seen = set()
+    for name, shape in manifest:
+        if name not in needed:
+            raise DataFileError(f"{path}: tensor {name!r} is not a parameter of this model")
+        if name in seen:
+            raise DataFileError(f"{path}: tensor {name!r} is listed twice")
+        if shape != needed[name]:
+            raise DataFileError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                                f"the model config needs {list(needed[name])}")
+        seen.add(name)
+    for name in needed:
+        if name not in seen:
+            raise DataFileError(f"{path}: tensor {name!r} is missing")
+    return manifest
 
 
 def _read_tensor(buf: memoryview, offset: int, shape, path) -> tuple[np.ndarray, int]:
@@ -120,7 +136,7 @@ def load_checkpoint(path):
     buf = memoryview(raw)
     offset = 16 + hlen
     params: dict[str, Tensor] = {}
-    for name, shape in _manifest(header.get("tensors"), path):
+    for name, shape in _manifest(header.get("tensors"), config, path):
         arr, offset = _read_tensor(buf, offset, shape, path)
         try:
             params[name] = Tensor(arr, requires_grad=True)
@@ -130,7 +146,7 @@ def load_checkpoint(path):
     if adam:
         m: dict[str, np.ndarray] = {}
         v: dict[str, np.ndarray] = {}
-        for name, shape in _manifest(adam.get("tensors"), path):
+        for name, shape in _manifest(adam.get("tensors"), config, path):
             m[name], offset = _read_tensor(buf, offset, shape, path)
             v[name], offset = _read_tensor(buf, offset, shape, path)
         adam_fields = (adam["t"], m, v)

@@ -158,57 +158,69 @@ class ModelOutput:
     cpc_pred: int
 
 
-def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def param_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int | str]]:
+    """Every learnable parameter as (name, shape, init), in the order
+    ``init_params`` draws them. ``init`` is the fan-in of a U(+-1/sqrt(fan_in))
+    weight, or "zeros", "ones" or "normal" (N(0, 0.02))."""
+    d = config.embed_dim
+    table: list[tuple[str, tuple[int, ...], int | str]] = []
+    for c in range(config.n_bipolar_channels):
+        in_ch = 1
+        for i, layer in enumerate(config.conv_layers):
+            out = layer.out_channels
+            table.append((f"enc{c}.conv{i}.w", (out, in_ch, layer.kernel), in_ch * layer.kernel))
+            table.append((f"enc{c}.conv{i}.b", (out,), "zeros"))
+            if layer.has_instance_norm:
+                table.append((f"enc{c}.inorm.gain", (out,), "ones"))
+                table.append((f"enc{c}.inorm.shift", (out,), "zeros"))
+            in_ch = out
+
+    table.append(("pos", (config.seq_len, d), "normal"))
+    table.append(("class_token", (d,), "normal"))
+    table.append(("regress_token", (d,), "normal"))
+
+    h = config.ffn_hidden
+    for k in range(config.n_attention_blocks):
+        for proj in ("q", "k", "v", "o"):
+            table.append((f"blk{k}.{proj}.w", (d, d), d))
+            table.append((f"blk{k}.{proj}.b", (d,), "zeros"))
+        table.append((f"blk{k}.ffn1.w", (d, h), d))
+        table.append((f"blk{k}.ffn1.b", (h,), "zeros"))
+        table.append((f"blk{k}.ffn2.w", (h, d), h))
+        table.append((f"blk{k}.ffn2.b", (d,), "zeros"))
+        for ln in ("ln1", "ln2"):
+            table.append((f"blk{k}.{ln}.gain", (d,), "ones"))
+            table.append((f"blk{k}.{ln}.shift", (d,), "zeros"))
+
+    for head in ("class_head", "regress_head"):
+        table.append((f"{head}.w", (d, 1), d))
+        table.append((f"{head}.b", (1,), "zeros"))
+    return table
 
 
 def init_params(
     config: ModelConfig, seed: int, dtype=np.float32
 ) -> dict[str, Tensor]:
-    """Fresh learnable parameters, keyed by name.
-
-    Conv/linear weights ~ U(+-1/sqrt(fan_in)), biases zero; positional
+    """Fresh learnable parameters, keyed by name, drawn in ``param_table``
+    order: conv/linear weights ~ U(+-1/sqrt(fan_in)), biases zero; positional
     vectors and summary tokens ~ N(0, 0.02); norm gains 1, shifts 0.
     """
     rng = np.random.default_rng(seed)
-    d = config.embed_dim
-    params: dict[str, np.ndarray] = {}
 
-    for c in range(config.n_bipolar_channels):
-        in_ch = 1
-        for i, layer in enumerate(config.conv_layers):
-            params[f"enc{c}.conv{i}.w"] = _uniform(
-                rng, in_ch * layer.kernel, (layer.out_channels, in_ch, layer.kernel), dtype
-            )
-            params[f"enc{c}.conv{i}.b"] = np.zeros(layer.out_channels, dtype=dtype)
-            if layer.has_instance_norm:
-                params[f"enc{c}.inorm.gain"] = np.ones(layer.out_channels, dtype=dtype)
-                params[f"enc{c}.inorm.shift"] = np.zeros(layer.out_channels, dtype=dtype)
-            in_ch = layer.out_channels
+    def draw(shape, init) -> np.ndarray:
+        if init == "zeros":
+            return np.zeros(shape, dtype=dtype)
+        if init == "ones":
+            return np.ones(shape, dtype=dtype)
+        if init == "normal":
+            return rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        bound = 1.0 / math.sqrt(init)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
-    params["pos"] = (rng.normal(0.0, 0.02, size=(config.seq_len, d))).astype(dtype)
-    params["class_token"] = rng.normal(0.0, 0.02, size=d).astype(dtype)
-    params["regress_token"] = rng.normal(0.0, 0.02, size=d).astype(dtype)
-
-    for k in range(config.n_attention_blocks):
-        for proj in ("q", "k", "v", "o"):
-            params[f"blk{k}.{proj}.w"] = _uniform(rng, d, (d, d), dtype)
-            params[f"blk{k}.{proj}.b"] = np.zeros(d, dtype=dtype)
-        params[f"blk{k}.ffn1.w"] = _uniform(rng, d, (d, config.ffn_hidden), dtype)
-        params[f"blk{k}.ffn1.b"] = np.zeros(config.ffn_hidden, dtype=dtype)
-        params[f"blk{k}.ffn2.w"] = _uniform(rng, config.ffn_hidden, (config.ffn_hidden, d), dtype)
-        params[f"blk{k}.ffn2.b"] = np.zeros(d, dtype=dtype)
-        for ln in ("ln1", "ln2"):
-            params[f"blk{k}.{ln}.gain"] = np.ones(d, dtype=dtype)
-            params[f"blk{k}.{ln}.shift"] = np.zeros(d, dtype=dtype)
-
-    params["class_head.w"] = _uniform(rng, d, (d, 1), dtype)
-    params["class_head.b"] = np.zeros(1, dtype=dtype)
-    params["regress_head.w"] = _uniform(rng, d, (d, 1), dtype)
-    params["regress_head.b"] = np.zeros(1, dtype=dtype)
-
-    return {name: Tensor(v, requires_grad=True) for name, v in params.items()}
+    return {
+        name: Tensor(draw(shape, init), requires_grad=True)
+        for name, shape, init in param_table(config)
+    }
 
 
 def count_parameters(params: dict[str, Tensor]) -> int:

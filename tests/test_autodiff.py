@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prognosis import autodiff as ad
 from prognosis.autodiff import Tensor, finite_diff_grad
 from prognosis.errors import NonFiniteValue, ShapeMismatch
+from prognosis.model import default_conv_layers
 
 
 def param(arr):
@@ -21,21 +22,34 @@ def check_grads_against_fd(build_loss, x0, n_coords=20, h=1e-3, tol=1e-4, seed=0
     x.zero_grad()
     loss.backward()
     rng = np.random.default_rng(seed)
-    flat = x.data.reshape(-1)
-    gflat = x.grad.reshape(-1)
-    idxs = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
+    idxs = rng.choice(x.data.size, size=min(n_coords, x.data.size), replace=False)
     for i in idxs:
-        orig = flat[i]
-        flat[i] = orig + h
+        i = np.unravel_index(i, x.data.shape)  # in place, whatever the memory layout
+        orig = x.data[i]
+        x.data[i] = orig + h
         with ad.no_grad():
             fp = float(build_loss(x).data)
-        flat[i] = orig - h
+        x.data[i] = orig - h
         with ad.no_grad():
             fm = float(build_loss(x).data)
-        flat[i] = orig
+        x.data[i] = orig
         fd = (fp - fm) / (2 * h)
-        rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-2)
-        assert rel <= tol, f"coord {i}: autodiff {gflat[i]} vs fd {fd}"
+        rel = abs(x.grad[i] - fd) / max(abs(x.grad[i]), abs(fd), 1e-2)
+        assert rel <= tol, f"coord {i}: autodiff {x.grad[i]} vs fd {fd}"
+
+
+CONV_SHAPES = sorted({(layer.kernel, layer.stride) for layer in default_conv_layers(1)})
+
+
+def conv_reference(x, w, b, stride):
+    """conv1d as a direct loop over output channels and windows."""
+    c_out, _, k = w.shape
+    l_out = (x.shape[1] - k) // stride + 1
+    y = np.empty((c_out, l_out))
+    for o in range(c_out):
+        for t in range(l_out):
+            y[o, t] = np.sum(w[o] * x[:, t * stride : t * stride + k]) + b[o]
+    return y
 
 
 class TestConv1d:
@@ -65,20 +79,30 @@ class TestConv1d:
             ad.conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 5))),
                       Tensor(np.zeros(1)), stride=1)
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kernel, stride", CONV_SHAPES)
+    def test_gradients(self, kernel, stride, order):
         rng = np.random.default_rng(1)
-        w = param(rng.standard_normal((3, 2, 4)))
+        w = param(rng.standard_normal((3, 2, kernel)))
         b = param(rng.standard_normal(3))
-        x0 = rng.standard_normal((2, 17))
+        x0 = np.asarray(rng.standard_normal((2, 26)), order=order)  # a tail at every pair
+        out = ad.conv1d(Tensor(x0), w, b, stride).data
+        np.testing.assert_allclose(out, conv_reference(x0, w.data, b.data, stride), rtol=1e-12)
         check_grads_against_fd(
-            lambda x: ad.tsum(ad.mul(y := ad.conv1d(x, w, b, 3), y)), x0
+            lambda x: ad.tsum(ad.mul(y := ad.conv1d(x, w, b, stride), y)), x0
         )
-        x = param(x0)
+        for x in (param(x0), Tensor(x0)):  # on the tape, then off it
 
-        def wloss(wt):
-            return ad.tsum(ad.mul(y := ad.conv1d(x, wt, b, 3), y))
+            def wloss(wt):
+                return ad.tsum(ad.mul(y := ad.conv1d(x, wt, b, stride), y))
 
-        check_grads_against_fd(wloss, w.data.copy())
+            def bloss(bt):
+                return ad.tsum(ad.mul(y := ad.conv1d(x, w, bt, stride), y))
+
+            check_grads_against_fd(wloss, w.data.copy())
+            check_grads_against_fd(bloss, b.data.copy())
+        off = ad.conv1d(Tensor(x0), w, b, stride)  # backward returns no dx for it
+        assert [t for t, _ in off._backward(np.ones_like(off.data))] == [w, b]
 
 
 class TestInstanceNorm:
@@ -101,13 +125,14 @@ class TestInstanceNorm:
         assert np.allclose(out.data.mean(axis=1), 3, atol=1e-3)
         assert np.allclose(out.data.std(axis=1), 2, atol=1e-3)
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("order", ["C", "F"])  # F: the stem's time-major layout
+    def test_gradients(self, order):
         rng = np.random.default_rng(2)
         g = param(rng.standard_normal(3))
         s = param(rng.standard_normal(3))
         check_grads_against_fd(
             lambda x: ad.tsum(ad.mul(y := ad.instance_norm(x, g, s), y)),
-            rng.standard_normal((3, 11)),
+            np.asarray(rng.standard_normal((3, 11)), order=order),
         )
 
 

@@ -149,6 +149,17 @@ def as_list(record):
     return [record]
 
 
+def put_tensor(name, key, value):
+    """An edit of a checkpoint header that sets one field of a tensor's entry."""
+
+    def edit(header):
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        entry[key] = value
+        return header
+
+    return edit
+
+
 # (file kind, edit of its JSON, what the message must say)
 BAD_FILES = {
     "header fs_hz string": ("header", put("fs_hz", value="fast"), "fs_hz must be"),
@@ -190,6 +201,18 @@ BAD_FILES = {
     ),
     "checkpoint segment_len": (
         "checkpoint", put("config", "segment_len", value=30001), "segment_len differs",
+    ),
+    "checkpoint channels 3": (
+        "checkpoint", put("config", "n_bipolar_channels", value=3),
+        r"tensor 'pos' has shape \[26, 32\], the model config needs \[38, 32\]",
+    ),
+    "checkpoint renamed tensor": (
+        "checkpoint", put_tensor("class_head.b", "name", "class_head.bias"),
+        "tensor 'class_head.bias' is not a parameter of this model",
+    ),
+    "checkpoint pos transposed": (
+        "checkpoint", put_tensor("pos", "shape", [32, 26]),
+        r"tensor 'pos' has shape \[32, 26\], the model config needs \[26, 32\]",
     ),
 }
 

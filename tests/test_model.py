@@ -100,6 +100,23 @@ class TestEncoder:
         out = encode_channel(desk_params, desk, 0, x)
         assert out.data.shape == (12, 32)
 
+    def test_stem_activations_are_time_major(self, desk, desk_params, monkeypatch):
+        """conv1d reads kernel == stride windows as a reshape view of x.data.T,
+        so every stem activation must stay a transposed C-contiguous array."""
+        outs = []
+
+        def recording(real):
+            def op(*args):
+                outs.append(real(*args))
+                return outs[-1]
+            return op
+
+        for op in ("conv1d", "instance_norm", "gelu"):
+            monkeypatch.setattr(ad, op, recording(getattr(ad, op)))
+        encode_channel(desk_params, desk, 0, Tensor(random_segment()[0:1]))
+        assert len(outs) == 15  # 7 convs, 1 instance norm, 7 GELUs
+        assert all(out.data.T.flags.c_contiguous for out in outs)
+
     def test_wrong_length_rejected(self, desk, desk_params):
         with pytest.raises(ShapeMismatch):
             encode_channel(desk_params, desk, 0, Tensor(np.zeros((1, 29999))))

@@ -15,13 +15,16 @@ from fractions import Fraction
 import numpy as np
 from scipy import signal
 
-from .eeg_io import RawRecording
+from .eeg_io import RawRecording, SignalFile
 from .errors import BadConfig, NonFiniteValue, ShapeMismatch, UnusableRecording
 
 TARGET_FS_HZ = 100.0
 SEGMENT_SAMPLES = 30000  # 5 minutes at 100 Hz
 DEFAULT_BAND_HZ = (0.5, 35.0)
 DEFAULT_ORDER = 4
+# Raise when a change here alters what ``preprocess`` returns, so that
+# segment caches built by the old code are rebuilt.
+PIPELINE_VERSION = 1
 
 MAX_RESAMPLE_DENOMINATOR = 10000
 
@@ -128,6 +131,11 @@ def resample_filter_taps(up: int, down: int, fs_in: float, fs_out: float) -> np.
     return h * up  # compensate upsampling gain
 
 
+def _resampled_length(n_in: int, fs_in: float, fs_out: float) -> int:
+    """Length of ``resample``'s output for ``n_in`` input samples."""
+    return int(round(n_in * fs_out / fs_in))
+
+
 def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     """Rational-ratio polyphase resampling with windowed-sinc anti-aliasing.
 
@@ -147,7 +155,7 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     up, down = frac.numerator, frac.denominator
     h = resample_filter_taps(up, down, fs_in, fs_out)
     delay = (len(h) - 1) // 2
-    n_out = int(round(x.shape[-1] * fs_out / fs_in))
+    n_out = _resampled_length(x.shape[-1], fs_in, fs_out)
     # upfirdn computes only the kept, every down-th, upsampled-rate sample.
     # Leading zeros on the taps put the group delay on that grid, so after
     # the slice output k is upsampled-rate sample delay + k * down.
@@ -173,14 +181,26 @@ def minmax_rescale(x) -> np.ndarray:
     return out
 
 
+def _require_montage(electrodes) -> None:
+    """An hour lacking a montage electrode is unusable; the message names it."""
+    present = set(electrodes)
+    for pair in MONTAGE:
+        for name in (pair.anode, pair.cathode):
+            if name not in present:
+                raise UnusableRecording(name)
+
+
+def _require_segment(n: int) -> None:
+    """An hour shorter than one segment at the target rate is unusable."""
+    if n < SEGMENT_SAMPLES:
+        raise UnusableRecording(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
+
+
 def to_bipolar(samples, electrodes) -> np.ndarray:
     """Row i = anode_i - cathode_i, in MONTAGE order."""
     samples = np.asarray(samples)
+    _require_montage(electrodes)
     index = {name: i for i, name in enumerate(electrodes)}
-    for pair in MONTAGE:
-        for name in (pair.anode, pair.cathode):
-            if name not in index:
-                raise UnusableRecording(name)
     rows = [samples[index[p.anode]] - samples[index[p.cathode]] for p in MONTAGE]
     return np.stack(rows)
 
@@ -191,8 +211,7 @@ def segment(bipolar: np.ndarray) -> np.ndarray:
     Returns one C-contiguous float32 array [n_segments, channels, 30000].
     """
     n_channels, n = bipolar.shape
-    if n < SEGMENT_SAMPLES:
-        raise UnusableRecording(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
+    _require_segment(n)
     n_segments = n // SEGMENT_SAMPLES
     windows = bipolar[:, : n_segments * SEGMENT_SAMPLES].reshape(
         n_channels, n_segments, SEGMENT_SAMPLES
@@ -203,15 +222,23 @@ def segment(bipolar: np.ndarray) -> np.ndarray:
 def preprocess(rec: RawRecording) -> np.ndarray:
     """Full pipeline: filter, resample to 100 Hz, rescale, bipolar, segment.
 
-    Returns float32 [n_segments, 18, 30000] with values in [-1, 1].
+    Returns float32 [n_segments, 18, 30000] with values in [-1, 1]. Whether
+    the hour is usable is decided from its electrodes and length before any
+    sample is read. A non-finite sample is reported here, at first use,
+    naming the signal file it came from.
     """
-    cascade = design_butterworth_bandpass(*DEFAULT_BAND_HZ, DEFAULT_ORDER, rec.fs_hz)
-    filtered = filter_signal(cascade, rec.samples)
-    resampled = resample(filtered, rec.fs_hz, TARGET_FS_HZ)
-    rescaled = minmax_rescale(resampled)
+    where = f"patient {rec.patient_id}, hour {rec.hour_index}"
     try:
+        _require_montage(rec.electrodes)
+        _require_segment(_resampled_length(rec.samples.shape[1], rec.fs_hz, TARGET_FS_HZ))
+        cascade = design_butterworth_bandpass(*DEFAULT_BAND_HZ, DEFAULT_ORDER, rec.fs_hz)
+        filtered = filter_signal(cascade, rec.samples)
+        resampled = resample(filtered, rec.fs_hz, TARGET_FS_HZ)
+        rescaled = minmax_rescale(resampled)
         return segment(to_bipolar(rescaled, rec.electrodes))
     except UnusableRecording as exc:
-        raise type(exc)(
-            f"patient {rec.patient_id}, hour {rec.hour_index}: {exc}"
-        ) from exc
+        raise UnusableRecording(f"{where}: {exc}") from exc
+    except NonFiniteValue as exc:
+        if isinstance(rec.samples, SignalFile):
+            where = f"{where}: {rec.samples.path}"
+        raise NonFiniteValue(f"{where}: {exc}") from exc

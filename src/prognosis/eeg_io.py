@@ -8,12 +8,17 @@ On-disk layout (one directory per patient):
 
 The header is JSON; the signal file is raw little-endian float32,
 channel-major (all samples of electrode 0, then electrode 1, ...).
+
+Opening a recording parses its header and checks the signal file's size;
+the samples are read only when something converts them to an array.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import stat
 import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadConfig, DataFileError, InsufficientData, NonFiniteValue, PrognosisError
+from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError
 
 SIGNAL_DTYPE = np.dtype("<f4")
 FORMAT_DTYPE_TAG = "f32le"
@@ -37,19 +42,60 @@ GOOD = "Good"
 POOR = "Poor"
 
 
+def _file_version(st: os.stat_result) -> tuple[int, int, int]:
+    """Inode, size and modification time: ``write_file`` gives a replaced file
+    a new inode, so a rewrite changes this even within one mtime tick."""
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@dataclass(frozen=True, eq=False)
+class SignalFile:
+    """The samples of a recording on disk, read on each use and never kept.
+
+    ``shape``, ``dtype`` and ``ndim`` come from the header and cost nothing.
+    ``np.asarray`` maps the file, copies it out and drops the mapping, so an
+    open corpus holds no file descriptor or mapping per recording.
+    ``header_sha256`` and ``version`` are what ``load_recording`` saw; a file
+    replaced since then is refused rather than read as the old recording.
+    """
+
+    path: Path
+    shape: tuple[int, int]
+    header_sha256: str
+    version: tuple[int, int, int]
+    dtype = SIGNAL_DTYPE
+    ndim = 2
+
+    def __array__(self, dtype=None, copy=None):  # always a fresh copy
+        try:
+            if _file_version(self.path.stat()) != self.version:
+                raise DataFileError(f"{self.path}: changed since the corpus was opened")
+            if not self.shape[0]:  # no electrodes: mmap refuses an empty file
+                return np.zeros(self.shape, dtype or SIGNAL_DTYPE)
+            mapped = np.memmap(self.path, dtype=SIGNAL_DTYPE, mode="r", shape=self.shape)
+        except (OSError, ValueError) as exc:
+            raise DataFileError(f"{self.path}: {exc}") from exc
+        return np.array(mapped, dtype=dtype)
+
+
 @dataclass(eq=False)
 class RawRecording:
-    """One hour of referential multi-channel EEG."""
+    """One hour of referential multi-channel EEG.
+
+    Non-finite samples are not checked here but by ``dsp.filter_signal``,
+    the one scan every DSP input gets, at use.
+    """
 
     patient_id: str
     hour_index: int
     fs_hz: float
     electrodes: tuple[str, ...]
-    samples: np.ndarray  # [n_electrodes, n_samples] microvolts
+    samples: np.ndarray | SignalFile  # [n_electrodes, n_samples] microvolts
 
     def __post_init__(self):
         self.electrodes = tuple(self.electrodes)
-        self.samples = np.asarray(self.samples)
+        if not isinstance(self.samples, SignalFile):
+            self.samples = np.asarray(self.samples)
         if self.samples.ndim != 2 or self.samples.shape[0] != len(self.electrodes):
             raise DataFileError(
                 f"samples shape {self.samples.shape} does not match "
@@ -61,8 +107,22 @@ class RawRecording:
             raise DataFileError("recording has no samples")
         if self.hour_index < 0:
             raise DataFileError(f"hour_index must be >= 0, got {self.hour_index}")
-        if not np.all(np.isfinite(self.samples)):
-            raise NonFiniteValue(f"non-finite samples in {self.patient_id}")
+
+
+def source_key(rec: RawRecording) -> dict:
+    """What ``rec``'s samples and facts were read from: for a recording on
+    disk, its header bytes and its signal file's inode, size and mtime; for
+    one in memory, its facts and the sha256 of its samples."""
+    if isinstance(rec.samples, SignalFile):
+        return {"header_sha256": rec.samples.header_sha256,
+                "signal_file": rec.samples.version}
+    samples = np.ascontiguousarray(rec.samples)
+    return {
+        "fs_hz": rec.fs_hz,
+        "electrodes": rec.electrodes,
+        "samples": (samples.dtype.str, samples.shape),
+        "samples_sha256": hashlib.sha256(samples).hexdigest(),
+    }
 
 
 @dataclass(frozen=True)
@@ -148,7 +208,7 @@ def write_recording(rec: RawRecording, directory) -> tuple[Path, Path]:
         "dtype": FORMAT_DTYPE_TAG,
     }
     # signal first, so a header on disk implies its samples are complete
-    write_file(signal_path, "recording", rec.samples.astype(SIGNAL_DTYPE).tofile, "wb")
+    write_file(signal_path, "recording", np.asarray(rec.samples, SIGNAL_DTYPE).tofile, "wb")
     write_file(header_path, "recording", lambda fh: json.dump(header, fh, indent=1))
     return header_path, signal_path
 
@@ -182,15 +242,16 @@ _HEADER_FIELDS = {
 _PATIENT_FIELDS = {"patient_id": _HEADER_FIELDS["patient_id"], "cpc": _INT}
 
 
-def _read_json_object(path: Path) -> dict:
+def _read_json_object(path: Path) -> tuple[dict, bytes]:
+    """The object a JSON file holds, and the file's bytes."""
     try:
-        with open(path) as fh:
-            record = json.load(fh)
+        data = path.read_bytes()
+        record = json.loads(data)
     except (ValueError, OSError) as exc:
         raise DataFileError(f"{path}: {exc}") from exc
     if not isinstance(record, dict):
         raise DataFileError(f"{path}: not a JSON object")
-    return record
+    return record, data
 
 
 def _check_fields(record: dict, fields: dict, path: Path) -> None:
@@ -200,10 +261,11 @@ def _check_fields(record: dict, fields: dict, path: Path) -> None:
 
 
 def load_recording(header_path) -> RawRecording:
+    """Parse and check a header and its signal file's size; read no samples."""
     header_path = Path(header_path)
     if not header_path.is_file():
         raise DataFileError(f"header not found: {header_path}")
-    header = _read_json_object(header_path)
+    header, header_bytes = _read_json_object(header_path)
     fields = {*_HEADER_FIELDS, "dtype"}
     missing = fields - header.keys()
     if missing:
@@ -217,23 +279,31 @@ def load_recording(header_path) -> RawRecording:
     signal_path = header_path.parent / header["signal_file"]
     # every failure below names the header and the signal file it points to
     where = f"{header_path}: signal file {signal_path.name}"
-    if not signal_path.is_file():
+    try:
+        st = signal_path.stat()
+    except OSError:
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
         raise DataFileError(f"{where} not found")
-    raw = np.fromfile(signal_path, dtype=SIGNAL_DTYPE)
     n_elec = len(header["electrodes"])
     n_samples = header["n_samples"]
-    if raw.size != n_elec * n_samples:
+    n_values = n_elec * n_samples
+    if st.st_size != n_values * SIGNAL_DTYPE.itemsize:
         raise DataFileError(
-            f"{where}: expected {n_elec}x{n_samples}="
-            f"{n_elec * n_samples} values, found {raw.size}"
+            f"{where}: expected {n_elec}x{n_samples}={n_values} values "
+            f"({n_values * SIGNAL_DTYPE.itemsize} bytes), found {st.st_size} bytes"
         )
+    samples = SignalFile(
+        signal_path, (n_elec, n_samples),
+        hashlib.sha256(header_bytes).hexdigest(), _file_version(st),
+    )
     try:
         return RawRecording(
             patient_id=header["patient_id"],
             hour_index=header["hour_index"],
             fs_hz=float(header["fs_hz"]),
             electrodes=tuple(header["electrodes"]),
-            samples=raw.reshape(n_elec, n_samples),
+            samples=samples,
         )
     except PrognosisError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
@@ -309,7 +379,7 @@ def load_patient(pdir) -> tuple[PatientMeta, list[RawRecording]]:
     if not meta_path.is_file():
         raise DataFileError(f"patient {pdir.name}: no patient.json in {pdir}")
     try:
-        raw = _read_json_object(meta_path)
+        raw, _ = _read_json_object(meta_path)
         _check_fields(raw, _PATIENT_FIELDS, meta_path)
         meta = PatientMeta(
             patient_id=raw["patient_id"],

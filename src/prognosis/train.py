@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .eeg_io import GOOD, POOR, RawRecording, write_file
+from .eeg_io import GOOD, POOR, RawRecording, source_key, write_file
 from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
@@ -167,10 +167,24 @@ def split_patients(dataset, ratio: float, seed: int) -> tuple[list[str], list[st
     return sorted(train_ids), sorted(val_ids)
 
 
+def _cache_key(rec: RawRecording) -> bytes:
+    """Everything a cached hour depends on: the DSP pipeline and the recording."""
+    pipeline = {
+        "version": dsp.PIPELINE_VERSION,
+        "band_hz": dsp.DEFAULT_BAND_HZ,
+        "order": dsp.DEFAULT_ORDER,
+        "target_fs_hz": dsp.TARGET_FS_HZ,
+        "segment_samples": dsp.SEGMENT_SAMPLES,
+    }
+    return json.dumps({"pipeline": pipeline, "source": source_key(rec)}, sort_keys=True).encode()
+
+
 class SegmentStore:
     """Disk-cached preprocessed segments, memory-mapped on read.
 
-    One .npy per (patient, hour) holding [n_segments, 18, 30000] float32.
+    One .npy per (patient, hour) holding [n_segments, 18, 30000] float32,
+    and beside it a .key sidecar holding the ``_cache_key`` it was built
+    from. An hour is trusted only when its sidecar holds the current key.
     """
 
     def __init__(self, cache_dir):
@@ -183,9 +197,21 @@ class SegmentStore:
 
     def add_recording(self, rec: RawRecording) -> None:
         path = self._path(rec.patient_id, rec.hour_index)
-        if not path.is_file():
+        key_path = path.with_suffix(".key")
+        key = _cache_key(rec)
+        try:
+            fresh = path.is_file() and key_path.read_bytes() == key
+        except OSError:
+            fresh = False
+        if not fresh:
             segments = dsp.preprocess(rec)
+            # no sidecar while the .npy is replaced, so a cut rebuild is not trusted
+            try:
+                key_path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise DataFileError(f"cannot remove cache key {key_path}: {exc}") from exc
             write_file(path, "cache file", lambda fh: np.save(fh, segments), "wb")
+            write_file(key_path, "cache key", lambda fh: fh.write(key), "wb")
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:

@@ -1,9 +1,11 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prognosis import eeg_io
+from prognosis import dsp, eeg_io
 from prognosis.eeg_io import (
     GOOD,
     POOR,
@@ -64,13 +66,33 @@ class TestRecordingRoundTrip:
             load_recording(hdr)
 
     def test_non_finite_signal_names_file(self, tmp_path):
-        rec = make_recording(n_samples=1000)
+        # one segment long, so preprocess gets as far as reading the samples
+        rec = make_recording(n_samples=75000)
         hdr, sig = write_recording(rec, tmp_path)
         samples = rec.samples.copy()
         samples[3, 7] = np.nan
         samples.tofile(sig)
+        loaded = load_recording(hdr)  # the open reads no samples, so it succeeds
         with pytest.raises(NonFiniteValue, match=sig.name):
+            dsp.preprocess(loaded)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        hdr, sig = write_recording(make_recording(n_samples=1000), tmp_path)
+        with open(sig, "ab") as fh:
+            fh.write(b"\0\0")
+        with pytest.raises(DataFileError, match=f"{sig.name}.*found 76002 bytes"):
             load_recording(hdr)
+
+    @pytest.mark.parametrize("n_elec", [19, 0])
+    def test_samples_read_on_use(self, tmp_path, n_elec):
+        rec = make_recording(n_elec=n_elec, n_samples=1000)
+        hdr, sig = write_recording(rec, tmp_path)
+        loaded = load_recording(hdr)
+        assert loaded.samples.shape == (n_elec, 1000) and loaded.samples.ndim == 2
+        assert np.array_equal(np.asarray(loaded.samples, dtype=np.float64), rec.samples)
+        write_recording(rec, tmp_path)  # the same bytes, as a new file
+        with pytest.raises(DataFileError, match="changed since the corpus was opened"):
+            np.asarray(loaded.samples)
 
     @pytest.mark.parametrize("fs_hz", [float("nan"), float("inf"), 0.0, -250.0])
     def test_bad_rate_rejected(self, fs_hz):
@@ -221,6 +243,26 @@ class TestDataset:
         (pdir / "patient.json").unlink()
         with pytest.raises(DataFileError, match=pdir.name):
             load_dataset(tmp_path)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+    def test_open_keeps_no_file_per_recording(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for i in range(8):
+            recs = [
+                RawRecording(f"p{i}", hour, 100.0, eeg_io.STANDARD_ELECTRODES,
+                             rng.standard_normal((19, 10)).astype(np.float32))
+                for hour in range(5)
+            ]
+            write_patient(PatientMeta(f"p{i}", GOOD, 1), recs, tmp_path)
+        before = len(os.listdir("/proc/self/fd"))
+        dataset = load_dataset(tmp_path)
+        assert sum(len(recs) for _, recs in dataset.values()) == 40
+        assert len(os.listdir("/proc/self/fd")) == before
+        for _, recs in dataset.values():
+            for rec in recs:
+                np.asarray(rec.samples)  # a read keeps nothing open either
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert str(tmp_path) not in Path("/proc/self/maps").read_text()
 
     def test_empty_dataset(self, tmp_path):
         with pytest.raises(InsufficientData, match="no patients found"):

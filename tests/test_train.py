@@ -1,13 +1,25 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from prognosis import autodiff as ad
+from prognosis import dsp
 from prognosis import train as T
 from prognosis.autodiff import Tensor
-from prognosis.eeg_io import GOOD, POOR, PatientMeta
+from prognosis.eeg_io import (
+    GOOD,
+    POOR,
+    STANDARD_ELECTRODES,
+    PatientMeta,
+    RawRecording,
+    load_dataset,
+    write_patient,
+    write_recording,
+)
 from prognosis.errors import DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from prognosis.model import preset_config
 from prognosis.train import (
@@ -275,6 +287,85 @@ class TestStore:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(DataFileError, match=re.escape(str(path))):
             store.segments(one_hour_recording.patient_id, 0)
+
+
+def five_minute_recording(pid: str, seed: int) -> RawRecording:
+    """One segment of random samples at the target rate."""
+    samples = np.random.default_rng(seed).standard_normal((19, 30000)).astype(np.float32)
+    return RawRecording(pid, 0, dsp.TARGET_FS_HZ, STANDARD_ELECTRODES, samples)
+
+
+def write_five_minute_corpus(root, n_patients: int) -> None:
+    for i in range(n_patients):
+        pid = f"p{i}"
+        write_patient(PatientMeta(pid, GOOD, 1), [five_minute_recording(pid, i)], root)
+
+
+def cache_versions(cache) -> dict:
+    return {str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(cache.rglob("*")) if p.is_file()}
+
+
+class TestCacheFingerprint:
+    def test_rewritten_recording_rebuilds_its_hour(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        write_five_minute_corpus(root, 1)
+        T.build_store(load_dataset(root), cache)
+        write_recording(five_minute_recording("p0", seed=99), root / "p0")
+        T.build_store(load_dataset(root), cache)
+        T.build_store(load_dataset(root), tmp_path / "fresh")
+        rebuilt = (cache / "p0" / "hour_0.npy").read_bytes()
+        assert rebuilt == (tmp_path / "fresh" / "p0" / "hour_0.npy").read_bytes()
+
+    def test_cache_file_without_key_is_rebuilt(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        write_five_minute_corpus(root, 1)
+        T.build_store(load_dataset(root), cache)
+        good = (cache / "p0" / "hour_0.npy").read_bytes()
+        (cache / "p0" / "hour_0.key").unlink()
+        np.save(cache / "p0" / "hour_0.npy", np.zeros((1, 18, 30000), dtype=np.float32))
+        T.build_store(load_dataset(root), cache)
+        assert (cache / "p0" / "hour_0.npy").read_bytes() == good
+        assert (cache / "p0" / "hour_0.key").is_file()
+
+    def test_warm_opens_rewrite_nothing(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        write_five_minute_corpus(root, 2)
+        T.build_store(load_dataset(root), cache)
+        built = cache_versions(cache)
+        assert len(built) == 4  # a .npy and its .key per hour
+        for _ in range(2):
+            T.build_store(load_dataset(root), cache)
+            assert cache_versions(cache) == built
+
+    def test_warm_open_reads_no_samples(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        write_five_minute_corpus(root, 4)
+        T.build_store(load_dataset(root), cache)
+        signal_bytes = sum(p.stat().st_size for p in root.rglob("*.f32"))
+        tracemalloc.start()
+        try:
+            T.build_store(load_dataset(root), cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * signal_bytes
+
+    def test_unusable_hours_skipped_before_dsp(self, tmp_path, monkeypatch):
+        def no_dsp(*args):
+            raise AssertionError("an unusable hour reached the filter")
+
+        monkeypatch.setattr(dsp, "filter_signal", no_dsp)
+        rec = five_minute_recording("p0", 0)
+        keep = [i for i, e in enumerate(rec.electrodes) if e != "Cz"]
+        no_cz = dataclasses.replace(
+            rec, electrodes=tuple(rec.electrodes[i] for i in keep), samples=rec.samples[keep]
+        )
+        short = dataclasses.replace(rec, hour_index=1, samples=rec.samples[:, :29999])
+        dataset = {"p0": (PatientMeta("p0", GOOD, 1), [no_cz, short])}
+        message = "no usable hour: patient p0, hour 0: Cz; patient p0, hour 1: need >= 30000"
+        with pytest.raises(UnusableRecording, match=message):
+            T.build_store(dataset, tmp_path)
 
 
 class TestTrainLoop:

@@ -164,11 +164,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: [(a, g * c)])
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=a.data.dtype)
-    return _make(a.data + c, (a,), lambda g: [(a, g)])
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise NonFiniteValue("log of non-positive value")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, eeg_io, evaluation, gradcheck, model as model_mod, train as train_mod
 from .checkpoint import load_checkpoint
-from .errors import InsufficientData, PrognosisError
+from .errors import BadConfig, InsufficientData, PrognosisError
 
 DEFAULT_RUNS_DIR_ENV = "PROGNOSIS_RUNS_DIR"
 
@@ -45,13 +45,13 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _default_cache(data_dir: str) -> Path:
-    return Path(data_dir) / ".preprocessed"
+def _cache_dir(args) -> Path:
+    return Path(args.cache) if args.cache else Path(args.data) / ".preprocessed"
 
 
 def cmd_preprocess(args) -> int:
     dataset = eeg_io.load_dataset(args.data)
-    cache = Path(args.cache) if args.cache else _default_cache(args.data)
+    cache = _cache_dir(args)
     store = train_mod.build_store(dataset, cache)
     for message in store.skipped:
         print(f"skipped: {message}", file=sys.stderr)
@@ -92,8 +92,7 @@ def cmd_train(args) -> int:
     run_dir = Path(args.run) if args.run else _runs_root() / f"run-{args.preset}-{args.seed}"
     # an unusable run directory fails before the corpus is preprocessed
     eeg_io.write_file(run_dir / "metrics.csv", "metrics", None)
-    cache = Path(args.cache) if args.cache else _default_cache(args.data)
-    store = train_mod.build_store(dataset, cache)
+    store = train_mod.build_store(dataset, _cache_dir(args))
     result = train_mod.train(
         dataset, store, cfg, train_cfg, run_dir, dataset_path=args.data
     )
@@ -125,20 +124,17 @@ def cmd_evaluate(args) -> int:
             )
     # an unusable output directory fails before any patient is scored
     eeg_io.write_file(Path(args.out) / "report.json", "report", None)
-    store = None
-    if args.cache:
-        scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
-        store = train_mod.build_store(scored, Path(args.cache))
-    report, rows = evaluation.evaluate_split(
-        params, config, dataset, patient_ids=ids, store=store,
-        aggregate=args.aggregate,
-    )
+    scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
+    store = train_mod.build_store(scored, _cache_dir(args))
+    report, rows = evaluation.evaluate_split(params, config, dataset, store, patient_ids=ids)
     evaluation.write_report(report, rows, args.out)
     print(f"challenge_metric={report['challenge_metric']}")
     return 0
 
 
 def cmd_predict(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:  # also refuses NaN
+        raise BadConfig(f"threshold must lie in [0, 1], got {args.threshold}")
     config, params, _, _ = load_checkpoint(args.checkpoint)
     failures = []
     for path in args.paths:
@@ -189,8 +185,8 @@ def cmd_gradcheck(args) -> int:
         f"checked {result.n_checked} coordinates; max relative error "
         f"{result.max_rel_error:.3e} at {result.worst_param}"
     )
-    if not result.passed(args.tol):
-        print(f"FAIL: exceeds tolerance {args.tol}", file=sys.stderr)
+    if not result.passed():
+        print(f"FAIL: exceeds tolerance {gradcheck.TOLERANCE}", file=sys.stderr)
         return 1
     print("OK")
     return 0
@@ -240,12 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="all", choices=("all", "train", "val"))
     p.add_argument("--cache")
-    p.add_argument("--aggregate", default="mean", choices=("mean", "median", "max"))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="per-patient predictions as JSON lines")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=evaluation.POOR_THRESHOLD)
     p.add_argument("paths", nargs="+", help="patient directories or header files")
     p.set_defaults(func=cmd_predict)
 
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="desk", choices=sorted(model_mod.PRESETS))
     p.add_argument("--coords", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -266,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "synthesize" and args.good + args.poor < 1:
-        parser.error("need at least one patient (--good/--poor)")
+    if args.command == "synthesize" and (
+        min(args.good, args.poor) < 0 or args.good + args.poor < 1
+    ):
+        parser.error("--good and --poor must be >= 0 and give at least one patient")
     if args.command == "train" and not args.dry_run and not args.data:
         parser.error("--data is required unless --dry-run")
     try:

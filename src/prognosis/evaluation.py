@@ -13,9 +13,10 @@ from . import dsp
 from .autodiff import Tensor
 from .eeg_io import POOR, RawRecording, write_file
 from .errors import InsufficientData, ShapeMismatch, UnusableRecording
-from .model import ModelConfig, forward
+from .model import ModelConfig, forward, round_cpc
 
 FPR_CAP = 0.05
+POOR_THRESHOLD = 0.5  # a probability at or above it predicts Poor
 
 
 @dataclass
@@ -33,22 +34,13 @@ class RocPoint:
     fpr: float
 
 
-_AGGREGATORS = {
-    "mean": np.mean,
-    "median": np.median,
-    "max": np.max,
-}
-
-
 def predict_from_segments(
     params: dict[str, Tensor],
     config: ModelConfig,
     segments: np.ndarray,
     patient_id: str,
-    aggregate: str = "mean",
 ) -> PatientPrediction:
-    """Aggregate per-segment model outputs into one patient prediction."""
-    agg = _AGGREGATORS[aggregate]
+    """One patient prediction: the mean of its per-segment outputs."""
     probs = []
     raws = []
     for seg in segments:
@@ -57,8 +49,8 @@ def predict_from_segments(
         raws.append(out.cpc_raw)
     return PatientPrediction(
         patient_id=patient_id,
-        poor_prob=float(agg(probs)),
-        cpc_pred=int(np.clip(round(float(np.mean(raws))), 1, 5)),
+        poor_prob=float(np.mean(probs)),
+        cpc_pred=round_cpc(float(np.mean(raws))),
         n_segments_used=len(probs),
     )
 
@@ -67,7 +59,6 @@ def predict_patient(
     params: dict[str, Tensor],
     config: ModelConfig,
     recordings: list[RawRecording],
-    aggregate: str = "mean",
 ) -> PatientPrediction:
     """Predict from the most recent usable hour of one patient."""
     if not recordings:
@@ -79,9 +70,7 @@ def predict_patient(
         except UnusableRecording as exc:
             failures.append(str(exc))
             continue
-        return predict_from_segments(
-            params, config, segments, rec.patient_id, aggregate=aggregate
-        )
+        return predict_from_segments(params, config, segments, rec.patient_id)
     raise UnusableRecording(f"no usable hour: {'; '.join(failures)}")
 
 
@@ -129,27 +118,22 @@ def evaluate_split(
     params: dict[str, Tensor],
     config: ModelConfig,
     dataset,
+    store,
     patient_ids=None,
-    store=None,
-    aggregate: str = "mean",
 ) -> tuple[dict, list[dict]]:
     """Predict every patient of a split and compute the summary metrics.
 
-    Returns (report, per-patient rows). When a preprocessed store is given,
-    segments come from its cache (most recent hour) instead of re-running
-    the DSP pipeline.
+    Returns (report, per-patient rows). Each patient is scored from the
+    most recent hour in the preprocessed store.
     """
     ids = sorted(patient_ids) if patient_ids is not None else sorted(dataset)
     rows = []
     for pid in ids:
-        meta, recs = dataset[pid]
-        if store is not None and store.hours(pid):
-            hour = store.hours(pid)[-1]
-            pred = predict_from_segments(
-                params, config, store.segments(pid, hour), pid, aggregate=aggregate
-            )
-        else:
-            pred = predict_patient(params, config, recs, aggregate=aggregate)
+        meta = dataset[pid][0]
+        hours = store.hours(pid)
+        if not hours:
+            raise UnusableRecording(f"patient {pid}: no cached hour to score")
+        pred = predict_from_segments(params, config, store.segments(pid, hours[-1]), pid)
         rows.append(
             {
                 "patient_id": pid,
@@ -164,7 +148,7 @@ def evaluate_split(
     labels = [int(r["outcome"] == POOR) for r in rows]
     report = {
         "challenge_metric": challenge_metric(scores, labels),
-        "accuracy": accuracy([int(s >= 0.5) for s in scores], labels),
+        "accuracy": accuracy([int(s >= POOR_THRESHOLD) for s in scores], labels),
         "mse_cpc": float(np.mean([(r["cpc_pred"] - r["cpc_true"]) ** 2 for r in rows])),
         "n_patients": len(ids),
     }

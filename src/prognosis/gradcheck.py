@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import BadConfig
 from .model import ModelConfig, init_params
 from .train import TrainingExample, batch_loss_tensors
 
@@ -15,6 +16,7 @@ from .train import TrainingExample, batch_loss_tensors
 # comparison degrades to an absolute check there.
 REL_DENOM_FLOOR = 1e-2
 N_EXAMPLES = 2  # one of each outcome
+TOLERANCE = 1e-4  # the oracle's gate on the max relative error
 
 
 @dataclass
@@ -23,8 +25,8 @@ class GradCheckResult:
     max_rel_error: float
     worst_param: str
 
-    def passed(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_error <= tol
+    def passed(self) -> bool:
+        return self.max_rel_error <= TOLERANCE
 
 
 def _random_examples(config: ModelConfig, rng: np.random.Generator, n: int):
@@ -53,6 +55,8 @@ def check_model_gradients(
     Runs in double precision. Samples coordinates uniformly over parameter
     groups and within each tensor.
     """
+    if n_coords < 1:
+        raise BadConfig(f"n_coords must be at least 1, got {n_coords}")
     rng = np.random.default_rng(seed)
     params = init_params(config, seed=seed, dtype=np.float64)
     batch = _random_examples(config, rng, N_EXAMPLES)

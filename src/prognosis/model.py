@@ -341,5 +341,10 @@ def forward(
     return ModelOutput(
         poor_prob=float(prob.data[0]),
         cpc_raw=raw,
-        cpc_pred=int(np.clip(round(raw), 1, 5)),
+        cpc_pred=round_cpc(raw),
     )
+
+
+def round_cpc(raw: float) -> int:
+    """The CPC score (1-5) nearest a raw regression output."""
+    return int(np.clip(round(raw), 1, 5))

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .eeg_io import GOOD, POOR, RawRecording, source_key, write_file
 from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
+from .evaluation import POOR_THRESHOLD
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
 PROB_CLAMP = 1e-7
@@ -316,7 +317,7 @@ def validation_accuracy(
     correct = 0
     for ex in val_examples:
         out = forward(params, config, ex.segment_data)
-        correct += int((out.poor_prob >= 0.5) == (ex.y == 1))
+        correct += int((out.poor_prob >= POOR_THRESHOLD) == (ex.y == 1))
     return correct / len(val_examples)
 
 

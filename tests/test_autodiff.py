@@ -255,7 +255,7 @@ class TestBackward:
 
         def branch():
             row = ad.reshape(leaf, (1, 4))
-            seq = ad.concat([row, ad.add_const(filler, 0.0)], axis=0)
+            seq = ad.concat([row, filler], axis=0)
             return ad.tsum(ad.add(seq, pos))
 
         leaf.zero_grad()

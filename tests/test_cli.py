@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -65,10 +66,12 @@ class TestSynthesize:
         assert tree_digest(a) == tree_digest(b)
 
     def test_zero_patients_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["synthesize", "--good", "0", "--poor", "0",
-                      "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        for good, poor in (("0", "0"), ("2", "-1"), ("-1", "2")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["synthesize", "--good", good, "--poor", poor,
+                          "--out", str(tmp_path)])
+            assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
 
 class TestMontage:
@@ -155,6 +158,22 @@ class TestEvaluate:
         assert code == 0
         val_ids = load_checkpoint(trained_run / "best.ckpt")[3]["val_patients"]
         assert sorted(p.name for p in cache.iterdir()) == sorted(val_ids)
+
+    def test_default_cache_matches_explicit_cache(
+        self, capsys, corpus, trained_run, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data, ignore=shutil.ignore_patterns(".*"))
+        ckpt = str(trained_run / "best.ckpt")
+        explicit, default = tmp_path / "explicit", tmp_path / "default"
+        assert run(capsys, "evaluate", "--data", str(data), "--checkpoint", ckpt,
+                   "--cache", str(tmp_path / "cache"), "--out", str(explicit))[0] == 0
+        assert not (data / ".preprocessed").exists()
+        assert run(capsys, "evaluate", "--data", str(data), "--checkpoint", ckpt,
+                   "--out", str(default))[0] == 0
+        assert (data / ".preprocessed").is_dir()
+        for name in ("report.json", "patients.csv"):
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
 
     def test_truncated_checkpoint(self, capsys, corpus, trained_run, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -271,6 +290,11 @@ class TestPreprocessCommand:
         pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint",
                       "{tmp}/no-split.ckpt", "--out", "{tmp}/no-split.ckpt/eval"],
                      "no-split.ckpt/eval", id="out-under-file"),
+        pytest.param(["gradcheck", "--coords", "0"], "coords", id="coords-0"),
+        pytest.param(["predict", "--checkpoint", "{tmp}/no-split.ckpt",
+                      "--threshold", "nan", "{corpus}"], "threshold", id="threshold-nan"),
+        pytest.param(["predict", "--checkpoint", "{tmp}/no-split.ckpt",
+                      "--threshold", "1.5", "{corpus}"], "threshold", id="threshold-above-1"),
     ],
 )
 def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, named):

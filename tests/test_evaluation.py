@@ -66,17 +66,6 @@ class TestPredict:
         monkeypatch.setattr(E, "forward", constant_forward(0.5, 2.6))
         assert predict_from_segments({}, desk, segs, "p").cpc_pred == 3
 
-    def test_aggregators(self, desk, monkeypatch):
-        calls = iter([0.1, 0.9])
-
-        def fake(params, config, segment):
-            return ModelOutput(poor_prob=next(calls), cpc_raw=2.0, cpc_pred=2)
-
-        monkeypatch.setattr(E, "forward", fake)
-        segs = np.zeros((2, 18, 30000), dtype=np.float32)
-        pred = predict_from_segments({}, desk, segs, "p", aggregate="max")
-        assert pred.poor_prob == pytest.approx(0.9)
-
     def test_no_recordings(self, desk):
         with pytest.raises(UnusableRecording, match="no recordings"):
             predict_patient({}, desk, [])
@@ -193,12 +182,6 @@ class TestAccuracy:
 
 
 class TestEvaluateSplit:
-    def _dataset(self):
-        return {
-            "a": (PatientMeta("a", GOOD, 1), []),
-            "b": (PatientMeta("b", POOR, 5), []),
-        }
-
     def test_report_shape(self, desk, monkeypatch, small_dataset, small_store):
         monkeypatch.setattr(
             E, "forward", constant_forward(0.5, 3.0)
@@ -227,13 +210,11 @@ class TestEvaluateSplit:
         assert report["n_patients"] == 2
         assert [r["patient_id"] for r in rows] == sorted(ids)
 
-    def test_cache_scores_latest_usable_hour(self, desk, monkeypatch, tmp_path):
+    @staticmethod
+    def _hours_dataset():
+        """Two patients, each with usable hours 0 and 1 and an unusable hour 2."""
         import dataclasses
 
-        def mean_forward(params, config, segment):
-            return ModelOutput(poor_prob=float(segment.mean()), cpc_raw=3.0, cpc_pred=3)
-
-        monkeypatch.setattr(E, "forward", mean_forward)
         rng = np.random.default_rng(0)
         dataset = {}
         for pid, outcome, cpc in (("g", GOOD, 1), ("p", POOR, 4)):
@@ -248,11 +229,27 @@ class TestEvaluateSplit:
                 samples=recs[0].samples[:-1],
             ))
             dataset[pid] = (PatientMeta(pid, outcome, cpc), recs)
+        return dataset
+
+    def test_cache_scores_latest_usable_hour(self, desk, monkeypatch, tmp_path):
+        def mean_forward(params, config, segment):
+            return ModelOutput(poor_prob=float(segment.mean()), cpc_raw=3.0, cpc_pred=3)
+
+        monkeypatch.setattr(E, "forward", mean_forward)
+        dataset = self._hours_dataset()
         store = build_store(dataset, tmp_path)
         assert store.hours("g") == store.hours("p") == [0, 1]
         _, cached = evaluate_split({}, desk, dataset, store=store)
-        _, direct = evaluate_split({}, desk, dataset)
-        assert [r["poor_prob"] for r in cached] == [r["poor_prob"] for r in direct]
+        direct = [predict_patient({}, desk, dataset[pid][1]) for pid in sorted(dataset)]
+        assert [r["poor_prob"] for r in cached] == [p.poor_prob for p in direct]
+        assert [r["n_segments_used"] for r in cached] == [p.n_segments_used for p in direct]
+
+    def test_patient_missing_from_store(self, desk, monkeypatch, tmp_path):
+        monkeypatch.setattr(E, "forward", constant_forward(0.5, 3.0))
+        dataset = self._hours_dataset()
+        store = build_store({"g": dataset["g"]}, tmp_path)
+        with pytest.raises(UnusableRecording, match="patient p"):
+            evaluate_split({}, desk, dataset, store=store)
 
     def test_write_report(self, tmp_path):
         report = {"challenge_metric": 0.5, "accuracy": 0.75, "mse_cpc": 1.0,

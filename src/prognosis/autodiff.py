@@ -3,7 +3,7 @@
 Covers exactly the operator set the model needs: 1D valid convolution,
 instance/layer normalization, GELU (exact erf form), affine maps, softmax,
 batched matmul, and the elementwise/reduction glue to assemble losses.
-A central finite-difference oracle is provided for gradient verification.
+The central-difference oracle that verifies its gradients is in ``gradcheck``.
 
 Forward values are checked for finiteness after every op. Reductions run
 in numpy or BLAS in a fixed order for a fixed BLAS thread count, so forward
@@ -415,20 +415,3 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int) -> Tensor:
         return [(x, dxt.T), (w, dw), (bias, db)]
 
     return _make(y, (x, w, bias), backward)
-
-
-def finite_diff_grad(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of a scalar function, per coordinate."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    flat = x.reshape(-1)
-    g = out.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        g[i] = (fp - fm) / (2.0 * h)
-    return out

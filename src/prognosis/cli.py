@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, eeg_io, evaluation, gradcheck, model as model_mod, train as train_mod
 from .checkpoint import load_checkpoint
-from .errors import BadConfig, InsufficientData, PrognosisError
+from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError
 
 DEFAULT_RUNS_DIR_ENV = "PROGNOSIS_RUNS_DIR"
 
@@ -103,25 +103,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_ids(meta: dict, which: str, checkpoint: str):
+def _split_ids(meta: dict, which: str, checkpoint: str, dataset):
     if which == "all":
         return None
     ids = meta.get(f"{which}_patients")
-    if not ids:
-        raise InsufficientData(f"{checkpoint}: checkpoint records no {which} split")
+    if not (type(ids) is list and ids and all(type(pid) is str for pid in ids)):
+        raise DataFileError(f"{checkpoint}: recorded {which} split must be a non-empty "
+                            f"list of patient ids, got {ids!r}")
+    missing = [pid for pid in ids if pid not in dataset]
+    if missing:
+        raise InsufficientData(f"{checkpoint}: split patients absent from dataset: {missing}")
     return ids
 
 
 def cmd_evaluate(args) -> int:
     config, params, _, meta = load_checkpoint(args.checkpoint)
     dataset = eeg_io.load_dataset(args.data)
-    ids = _split_ids(meta, args.split, args.checkpoint)
-    if ids is not None:
-        missing = [pid for pid in ids if pid not in dataset]
-        if missing:
-            raise InsufficientData(
-                f"checkpoint split references patients absent from dataset: {missing}"
-            )
+    ids = _split_ids(meta, args.split, args.checkpoint, dataset)
     # an unusable output directory fails before any patient is scored
     eeg_io.write_file(Path(args.out) / "report.json", "report", None)
     scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
@@ -140,13 +138,7 @@ def cmd_predict(args) -> int:
     for path in args.paths:
         p = Path(path)
         try:
-            if p.is_dir():
-                meta, recs = eeg_io.load_patient(p)
-                pid = meta.patient_id
-            else:
-                rec = eeg_io.load_recording(p)
-                recs = [rec]
-                pid = rec.patient_id
+            recs = eeg_io.load_patient(p)[1] if p.is_dir() else [eeg_io.load_recording(p)]
             pred = evaluation.predict_patient(params, config, recs)
         except PrognosisError as exc:
             failures.append(f"{path}: {exc}")
@@ -155,7 +147,7 @@ def cmd_predict(args) -> int:
         print(
             json.dumps(
                 {
-                    "patient_id": pid,
+                    "patient_id": pred.patient_id,
                     "poor_prob": pred.poor_prob,
                     "outcome_pred": outcome,
                     "cpc_pred": pred.cpc_pred,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -103,15 +104,12 @@ def filter_signal(cascade: BiquadCascade, x) -> np.ndarray:
     return signal.sosfilt(cascade.sos, x, axis=-1)
 
 
-def _resample_ratio(fs_in: float, fs_out: float) -> Fraction:
+@lru_cache  # a corpus has few distinct rates, and ``require_usable`` asks for every hour
+def _resample_ratio(fs_in: float, fs_out: float) -> Fraction | None:
+    """fs_out / fs_in within 1e-9 with denominator <= MAX_RESAMPLE_DENOMINATOR, else None."""
     ratio = fs_out / fs_in
     frac = Fraction(ratio).limit_denominator(MAX_RESAMPLE_DENOMINATOR)
-    if abs(float(frac) - ratio) > 1e-9 * ratio:
-        raise BadConfig(
-            f"cannot express {fs_out}/{fs_in} with denominator <= "
-            f"{MAX_RESAMPLE_DENOMINATOR}"
-        )
-    return frac
+    return frac if abs(float(frac) - ratio) <= 1e-9 * ratio else None
 
 
 def resample_filter_taps(up: int, down: int, fs_in: float, fs_out: float) -> np.ndarray:
@@ -152,6 +150,10 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     if fs_in == fs_out:
         return x
     frac = _resample_ratio(fs_in, fs_out)
+    if frac is None:
+        raise BadConfig(
+            f"cannot express {fs_out}/{fs_in} with denominator <= {MAX_RESAMPLE_DENOMINATOR}"
+        )
     up, down = frac.numerator, frac.denominator
     h = resample_filter_taps(up, down, fs_in, fs_out)
     delay = (len(h) - 1) // 2
@@ -181,19 +183,48 @@ def minmax_rescale(x) -> np.ndarray:
     return out
 
 
-def _require_montage(electrodes) -> None:
+def _require_montage(electrodes, where: str = "") -> None:
     """An hour lacking a montage electrode is unusable; the message names it."""
     present = set(electrodes)
     for pair in MONTAGE:
         for name in (pair.anode, pair.cathode):
             if name not in present:
-                raise UnusableRecording(name)
+                raise UnusableRecording(f"{where}{name}")
 
 
-def _require_segment(n: int) -> None:
+def _require_segment(n: int, where: str = "") -> None:
     """An hour shorter than one segment at the target rate is unusable."""
     if n < SEGMENT_SAMPLES:
-        raise UnusableRecording(f"need >= {SEGMENT_SAMPLES} samples, got {n}")
+        raise UnusableRecording(f"{where}need >= {SEGMENT_SAMPLES} samples, got {n}")
+
+
+def require_usable(rec: RawRecording) -> None:
+    """Raise UnusableRecording, naming the patient and hour, unless the header
+    alone shows every montage electrode, a rate whose Nyquist frequency is
+    above the band and that ``resample`` can take to 100 Hz, and one segment."""
+    where = f"patient {rec.patient_id}, hour {rec.hour_index}: "
+    _require_montage(rec.electrodes, where)
+    min_fs = 2 * DEFAULT_BAND_HZ[1]
+    if not (rec.fs_hz > min_fs and _resample_ratio(rec.fs_hz, TARGET_FS_HZ)):
+        raise UnusableRecording(f"{where}rate {rec.fs_hz} Hz: need above {min_fs} Hz and "
+                                f"a ratio to {TARGET_FS_HZ} Hz with denominator <= "
+                                f"{MAX_RESAMPLE_DENOMINATOR}")
+    _require_segment(_resampled_length(rec.samples.shape[1], rec.fs_hz, TARGET_FS_HZ), where)
+
+
+def usable_hours(patient_id: str, recordings) -> tuple[list[RawRecording], list[str]]:
+    """The one policy for which hours are usable: the recordings that pass
+    ``require_usable`` and why each other fails, or UnusableRecording if none passes."""
+    usable, skipped = [], []
+    for rec in recordings:
+        try:
+            require_usable(rec)
+            usable.append(rec)
+        except UnusableRecording as exc:
+            skipped.append(str(exc))
+    if not usable:
+        raise UnusableRecording(f"patient {patient_id}: no usable hour: {'; '.join(skipped)}")
+    return usable, skipped
 
 
 def to_bipolar(samples, electrodes) -> np.ndarray:
@@ -222,23 +253,20 @@ def segment(bipolar: np.ndarray) -> np.ndarray:
 def preprocess(rec: RawRecording) -> np.ndarray:
     """Full pipeline: filter, resample to 100 Hz, rescale, bipolar, segment.
 
-    Returns float32 [n_segments, 18, 30000] with values in [-1, 1]. Whether
-    the hour is usable is decided from its electrodes and length before any
-    sample is read. A non-finite sample is reported here, at first use,
-    naming the signal file it came from.
+    Returns float32 [n_segments, 18, 30000] with values in [-1, 1]. An hour
+    that ``require_usable`` refuses fails before any sample is read. A
+    non-finite sample is reported here, at first use, naming the signal file
+    it came from.
     """
-    where = f"patient {rec.patient_id}, hour {rec.hour_index}"
+    require_usable(rec)
     try:
-        _require_montage(rec.electrodes)
-        _require_segment(_resampled_length(rec.samples.shape[1], rec.fs_hz, TARGET_FS_HZ))
         cascade = design_butterworth_bandpass(*DEFAULT_BAND_HZ, DEFAULT_ORDER, rec.fs_hz)
         filtered = filter_signal(cascade, rec.samples)
         resampled = resample(filtered, rec.fs_hz, TARGET_FS_HZ)
         rescaled = minmax_rescale(resampled)
         return segment(to_bipolar(rescaled, rec.electrodes))
-    except UnusableRecording as exc:
-        raise UnusableRecording(f"{where}: {exc}") from exc
     except NonFiniteValue as exc:
+        where = f"patient {rec.patient_id}, hour {rec.hour_index}"
         if isinstance(rec.samples, SignalFile):
             where = f"{where}: {rec.samples.path}"
         raise NonFiniteValue(f"{where}: {exc}") from exc

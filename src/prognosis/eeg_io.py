@@ -130,7 +130,6 @@ class PatientMeta:
     patient_id: str
     outcome: str  # GOOD or POOR
     cpc: int  # 1..5
-    hospital: str = "synthetic"
 
     def __post_init__(self):
         if self.outcome not in (GOOD, POOR):
@@ -381,12 +380,7 @@ def load_patient(pdir) -> tuple[PatientMeta, list[RawRecording]]:
     try:
         raw, _ = _read_json_object(meta_path)
         _check_fields(raw, _PATIENT_FIELDS, meta_path)
-        meta = PatientMeta(
-            patient_id=raw["patient_id"],
-            outcome=raw["outcome"],
-            cpc=raw["cpc"],
-            hospital=raw.get("hospital", ""),
-        )
+        meta = PatientMeta(patient_id=raw["patient_id"], outcome=raw["outcome"], cpc=raw["cpc"])
     except (DataFileError, KeyError) as exc:
         raise DataFileError(f"patient {pdir.name}: bad patient.json: {exc}") from exc
     headers = sorted(pdir.glob("*.hdr.json"))

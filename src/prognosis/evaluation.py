@@ -60,18 +60,13 @@ def predict_patient(
     config: ModelConfig,
     recordings: list[RawRecording],
 ) -> PatientPrediction:
-    """Predict from the most recent usable hour of one patient."""
+    """Predict from the newest hour of one patient that ``dsp.usable_hours``,
+    the rule the segment cache keeps hours by, finds usable."""
     if not recordings:
         raise UnusableRecording("patient has no recordings")
-    failures = []
-    for rec in sorted(recordings, key=lambda r: -r.hour_index):
-        try:
-            segments = dsp.preprocess(rec)
-        except UnusableRecording as exc:
-            failures.append(str(exc))
-            continue
-        return predict_from_segments(params, config, segments, rec.patient_id)
-    raise UnusableRecording(f"no usable hour: {'; '.join(failures)}")
+    usable, _ = dsp.usable_hours(recordings[0].patient_id, recordings)
+    newest = max(usable, key=lambda r: r.hour_index)
+    return predict_from_segments(params, config, dsp.preprocess(newest), newest.patient_id)
 
 
 def _check_binary(labels: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .eeg_io import GOOD, POOR, RawRecording, source_key, write_file
-from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
+from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch
 from .evaluation import POOR_THRESHOLD
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
@@ -227,20 +227,14 @@ class SegmentStore:
 
 
 def build_store(dataset, cache_dir) -> SegmentStore:
-    """Cache every usable hour. An unusable hour is skipped and its message
-    kept in ``store.skipped``; a patient with no usable hour fails."""
+    """Cache every hour ``dsp.usable_hours`` keeps, and its message for each
+    hour it skips in ``store.skipped``; a patient with no usable hour fails."""
     store = SegmentStore(cache_dir)
     for pid in sorted(dataset):
-        _, recs = dataset[pid]
-        failures = []
-        for rec in recs:
-            try:
-                store.add_recording(rec)
-            except UnusableRecording as exc:
-                failures.append(str(exc))
-        if not store.hours(pid):
-            raise UnusableRecording(f"patient {pid}: no usable hour: {'; '.join(failures)}")
-        store.skipped.extend(failures)
+        usable, skipped = dsp.usable_hours(pid, dataset[pid][1])
+        for rec in usable:
+            store.add_recording(rec)
+        store.skipped.extend(skipped)
     return store
 
 

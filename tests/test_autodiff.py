@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognosis import autodiff as ad
-from prognosis.autodiff import Tensor, finite_diff_grad
+from prognosis.autodiff import Tensor
 from prognosis.errors import NonFiniteValue, ShapeMismatch
+from prognosis.gradcheck import REL_DENOM_FLOOR, central_difference, relative_error
 from prognosis.model import default_conv_layers
 
 
@@ -16,26 +17,22 @@ def param(arr):
 
 
 def check_grads_against_fd(build_loss, x0, n_coords=20, h=1e-3, tol=1e-4, seed=0):
-    """Compare backward() with central differences on random coordinates."""
+    """Compare backward() with the gradient oracle on random coordinates."""
     x = param(x0)
     loss = build_loss(x)
     x.zero_grad()
     loss.backward()
+
+    def value():
+        with ad.no_grad():
+            return build_loss(x).data
+
     rng = np.random.default_rng(seed)
-    idxs = rng.choice(x.data.size, size=min(n_coords, x.data.size), replace=False)
-    for i in idxs:
-        i = np.unravel_index(i, x.data.shape)  # in place, whatever the memory layout
-        orig = x.data[i]
-        x.data[i] = orig + h
-        with ad.no_grad():
-            fp = float(build_loss(x).data)
-        x.data[i] = orig - h
-        with ad.no_grad():
-            fm = float(build_loss(x).data)
-        x.data[i] = orig
-        fd = (fp - fm) / (2 * h)
-        rel = abs(x.grad[i] - fd) / max(abs(x.grad[i]), abs(fd), 1e-2)
-        assert rel <= tol, f"coord {i}: autodiff {x.grad[i]} vs fd {fd}"
+    for i in rng.choice(x.data.size, size=min(n_coords, x.data.size), replace=False):
+        fd = central_difference(value, x.data, i, h)
+        assert relative_error(x.grad.flat[i], fd) <= tol, (
+            f"coord {i}: autodiff {x.grad.flat[i]} vs fd {fd}"
+        )
 
 
 CONV_SHAPES = sorted({(layer.kernel, layer.stride) for layer in default_conv_layers(1)})
@@ -350,20 +347,35 @@ class TestMatmulAndGlue:
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        g = finite_diff_grad(lambda x: float(np.sum(x**2)), np.array([1.0, 2.0]))
+        x = np.array([1.0, 2.0])
+        g = [central_difference(lambda: np.sum(x**2), x, i) for i in range(2)]
         assert np.allclose(g, [2.0, 4.0], atol=1e-6)
+        assert np.array_equal(x, [1.0, 2.0])  # restored
 
     def test_constant(self):
-        g = finite_diff_grad(lambda x: 7.0, np.array([1.0, 2.0]))
-        assert np.all(g == 0)
+        x = np.array([1.0, 2.0])
+        assert [central_difference(lambda: 7.0, x, i) for i in range(2)] == [0.0, 0.0]
 
     def test_gelu_derivative(self):
-        def f(x):
+        x = np.array([0.5])
+
+        def f():
             with ad.no_grad():
                 return float(ad.tsum(ad.gelu(Tensor(x))).data)
 
-        g = finite_diff_grad(f, np.array([0.5]))
         from scipy.stats import norm
 
         expected = norm.cdf(0.5) + 0.5 * norm.pdf(0.5)
-        assert g[0] == pytest.approx(expected, abs=1e-4)
+        assert central_difference(f, x, 0) == pytest.approx(expected, abs=1e-4)
+
+    def test_f_ordered_input_is_perturbed_in_place(self):
+        weights = np.arange(6.0).reshape(2, 3)
+        x = np.asfortranarray(np.ones((2, 3)))
+        g = [central_difference(lambda: np.sum(weights * x), x, i) for i in range(6)]
+        assert np.allclose(g, weights.reshape(-1))  # C-order flat index
+        assert x.flags.f_contiguous and np.all(x == 1.0)
+
+    def test_relative_error_floor(self):
+        assert relative_error(2.0, 1.0) == 0.5
+        # below the floor the rule is an absolute check
+        assert relative_error(0.0, 1e-3) == pytest.approx(1e-3 / REL_DENOM_FLOOR)

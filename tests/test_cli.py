@@ -258,10 +258,28 @@ class TestPreprocessCommand:
         assert "preprocessed 1 hours from 1 patients" in out
         assert err == "skipped: patient p, hour 1: Cz\n"
 
+    def test_skipped_rates_reported(self, capsys, mixed_rate_corpus):
+        code, out, err = run(capsys, "preprocess", "--data", str(mixed_rate_corpus))
+        assert code == 0
+        assert "preprocessed 1 hours from 1 patients" in out
+        lines = err.splitlines()
+        assert [line.split(": need")[0] for line in lines] == [
+            "skipped: patient p0, hour 1: rate 60.0 Hz",
+            "skipped: patient p0, hour 2: rate 250.00003 Hz",
+        ]
+
+
+# recorded splits that are not a non-empty list of patient ids
+BAD_SPLITS = {"split-int": 5, "split-nested": [["a"]], "split-str": "abc", "split-empty": []}
+
 
 @pytest.mark.parametrize(
     "argv, named",
     [
+        *(pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint", f"{{tmp}}/{name}.ckpt",
+                        "--split", "val", "--out", "{tmp}/eval"],
+                       f"{name}.ckpt: recorded val split must be", id=name)
+          for name in BAD_SPLITS),
         pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
                       "--eval-every", "0", "--run", "{tmp}/run"],
                      "eval_every", id="eval-every-0"),
@@ -300,6 +318,8 @@ class TestPreprocessCommand:
 def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, named):
     config, params, _, _ = load_checkpoint(trained_run / "best.ckpt")
     save_checkpoint(tmp_path / "no-split.ckpt", config, params)  # no meta
+    for name, split in BAD_SPLITS.items():
+        save_checkpoint(tmp_path / f"{name}.ckpt", config, params, meta={"val_patients": split})
     code, _, err = run(capsys, *(a.format(corpus=corpus, tmp=tmp_path) for a in argv))
     assert code == 1
     assert err.startswith("error: ")

@@ -237,6 +237,14 @@ class TestDataset:
         assert len(loaded_recs) == len(recs)
         assert np.array_equal(loaded_recs[0].samples, recs[0].samples)
 
+    def test_patient_json_with_hospital_loads(self, tmp_path):
+        meta = PatientMeta("p1", GOOD, 1)
+        write_patient(meta, [make_recording()], tmp_path)
+        path = tmp_path / "p1" / "patient.json"
+        assert set(json.loads(path.read_text())) == {"patient_id", "outcome", "cpc"}
+        path.write_text(json.dumps({**json.loads(path.read_text()), "hospital": "synthetic"}))
+        assert load_dataset(tmp_path)["p1"][0] == meta
+
     def test_missing_metadata_names_patient(self, tmp_path):
         self._write_corpus(tmp_path, n_good=1, n_poor=0)
         (pdir,) = [p for p in tmp_path.iterdir() if p.is_dir()]

@@ -91,6 +91,29 @@ def test_one_writer():
     assert found == {}
 
 
+def unusable_handlers(node):
+    """Line of each ``except`` clause under ``node`` that names UnusableRecording."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.ExceptHandler) and n.type is not None:
+            types = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            if any(ast.unparse(t).split(".")[-1] == "UnusableRecording" for t in types):
+                yield n.lineno
+
+
+def test_one_skip_policy():
+    """``dsp.usable_hours`` alone decides which hours are skipped, so it alone
+    catches UnusableRecording: a handler anywhere else is a second skip loop."""
+    found, allowed = set(), set()
+    for mod in pkgutil.iter_modules(prognosis.__path__):
+        tree = ast.parse(Path(prognosis.__path__[0], f"{mod.name}.py").read_text())
+        found |= {f"{mod.name}:{line}" for line in unusable_handlers(tree)}
+        if mod.name == "dsp":
+            (policy,) = [n for n in tree.body if getattr(n, "name", "") == "usable_hours"]
+            allowed = {f"dsp:{line}" for line in unusable_handlers(policy)}
+    assert allowed  # the guard sees the policy's own handler
+    assert found == allowed
+
+
 def write_recording(directory: Path) -> Path:
     rec = eeg_io.RawRecording(
         patient_id="p1", hour_index=0, fs_hz=250.0,

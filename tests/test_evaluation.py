@@ -3,6 +3,7 @@ import pytest
 
 from prognosis import evaluation as E
 from prognosis import model as M
+from prognosis.dsp import preprocess
 from prognosis.eeg_io import GOOD, POOR, STANDARD_ELECTRODES, PatientMeta, RawRecording
 from prognosis.errors import InsufficientData, ShapeMismatch, UnusableRecording
 from prognosis.evaluation import (
@@ -83,6 +84,18 @@ class TestPredict:
         )
         pred = predict_patient({}, desk, [one_hour_recording, broken])
         assert pred.poor_prob == pytest.approx(0.7)
+
+    def test_newest_usable_hour_scored(self, desk, monkeypatch, mixed_rate_dataset):
+        def mean_forward(params, config, segment):
+            return ModelOutput(poor_prob=float(segment.mean()), cpc_raw=3.0, cpc_pred=3)
+
+        monkeypatch.setattr(E, "forward", mean_forward)
+        recs = mixed_rate_dataset["p0"][1]
+        hour0 = float(preprocess(recs[0])[0].mean())
+        # hour 1 (60 Hz) is the newest of the first two; hour 2 (250.00003 Hz) of all
+        for hours in (recs[:2], recs):
+            pred = predict_patient({}, desk, hours)
+            assert (pred.poor_prob, pred.n_segments_used) == (hour0, 1)
 
     def test_all_hours_unusable(self, desk, one_hour_recording):
         import dataclasses

@@ -295,6 +295,15 @@ def five_minute_recording(pid: str, seed: int) -> RawRecording:
     return RawRecording(pid, 0, dsp.TARGET_FS_HZ, STANDARD_ELECTRODES, samples)
 
 
+def no_cz_and_short(rec: RawRecording) -> list[RawRecording]:
+    """``rec`` without Cz as hour 0, and one sample short of a segment as hour 1."""
+    keep = [i for i, e in enumerate(rec.electrodes) if e != "Cz"]
+    no_cz = dataclasses.replace(
+        rec, electrodes=tuple(rec.electrodes[i] for i in keep), samples=rec.samples[keep]
+    )
+    return [no_cz, dataclasses.replace(rec, hour_index=1, samples=rec.samples[:, :29999])]
+
+
 def write_five_minute_corpus(root, n_patients: int) -> None:
     for i in range(n_patients):
         pid = f"p{i}"
@@ -351,21 +360,41 @@ class TestCacheFingerprint:
             tracemalloc.stop()
         assert peak < 0.05 * signal_bytes
 
-    def test_unusable_hours_skipped_before_dsp(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "unusable, message",
+        [
+            pytest.param(no_cz_and_short, "hour 0: Cz; patient p0, hour 1: need >= 30000",
+                         id="montage-and-length"),
+            # a segment's worth of samples at either rate, so only the rate rule fails
+            pytest.param(lambda rec: [dataclasses.replace(
+                rec, fs_hz=60.0, samples=np.tile(rec.samples, 3))],
+                "hour 0: rate 60.0 Hz: need above 70.0 Hz", id="60Hz"),
+            pytest.param(lambda rec: [dataclasses.replace(
+                rec, fs_hz=250.00003, samples=np.tile(rec.samples, 3))],
+                "hour 0: rate 250.00003 Hz: need above 70.0 Hz and a ratio to 100.0 Hz "
+                "with denominator <= 10000", id="250.00003Hz"),
+        ],
+    )
+    def test_unusable_hours_skipped_before_dsp(self, tmp_path, monkeypatch, unusable, message):
         def no_dsp(*args):
             raise AssertionError("an unusable hour reached the filter")
 
         monkeypatch.setattr(dsp, "filter_signal", no_dsp)
-        rec = five_minute_recording("p0", 0)
-        keep = [i for i, e in enumerate(rec.electrodes) if e != "Cz"]
-        no_cz = dataclasses.replace(
-            rec, electrodes=tuple(rec.electrodes[i] for i in keep), samples=rec.samples[keep]
-        )
-        short = dataclasses.replace(rec, hour_index=1, samples=rec.samples[:, :29999])
-        dataset = {"p0": (PatientMeta("p0", GOOD, 1), [no_cz, short])}
-        message = "no usable hour: patient p0, hour 0: Cz; patient p0, hour 1: need >= 30000"
-        with pytest.raises(UnusableRecording, match=message):
+        recs = unusable(five_minute_recording("p0", 0))
+        dataset = {"p0": (PatientMeta("p0", GOOD, 1), recs)}
+        message = f"patient p0: no usable hour: patient p0, {message}"
+        with pytest.raises(UnusableRecording, match=re.escape(message)):
             T.build_store(dataset, tmp_path)
+
+    def test_unusable_rates_skipped_unread(self, mixed_rate_dataset, tmp_path):
+        store = T.build_store(mixed_rate_dataset, tmp_path / "cache")
+        assert store.hours("p0") == [0]
+        assert [m.split(": need")[0] for m in store.skipped] == [
+            "patient p0, hour 1: rate 60.0 Hz", "patient p0, hour 2: rate 250.00003 Hz",
+        ]
+        assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == [
+            "hour_0.key", "hour_0.npy", "p0",
+        ]
 
 
 class TestTrainLoop:

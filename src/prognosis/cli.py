@@ -103,9 +103,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_ids(meta: dict, which: str, checkpoint: str, dataset):
+def _split(meta: dict, which: str, checkpoint: str, dataset):
+    """The patients of ``dataset`` in the checkpoint's recorded split ``which``."""
     if which == "all":
-        return None
+        return dataset
     ids = meta.get(f"{which}_patients")
     if not (type(ids) is list and ids and all(type(pid) is str for pid in ids)):
         raise DataFileError(f"{checkpoint}: recorded {which} split must be a non-empty "
@@ -113,18 +114,16 @@ def _split_ids(meta: dict, which: str, checkpoint: str, dataset):
     missing = [pid for pid in ids if pid not in dataset]
     if missing:
         raise InsufficientData(f"{checkpoint}: split patients absent from dataset: {missing}")
-    return ids
+    return {pid: dataset[pid] for pid in ids}
 
 
 def cmd_evaluate(args) -> int:
     config, params, _, meta = load_checkpoint(args.checkpoint)
-    dataset = eeg_io.load_dataset(args.data)
-    ids = _split_ids(meta, args.split, args.checkpoint, dataset)
+    scored = _split(meta, args.split, args.checkpoint, eeg_io.load_dataset(args.data))
     # an unusable output directory fails before any patient is scored
     eeg_io.write_file(Path(args.out) / "report.json", "report", None)
-    scored = dataset if ids is None else {pid: dataset[pid] for pid in ids}
     store = train_mod.build_store(scored, _cache_dir(args))
-    report, rows = evaluation.evaluate_split(params, config, dataset, store, patient_ids=ids)
+    report, rows = evaluation.evaluate_split(params, config, scored, store)
     evaluation.write_report(report, rows, args.out)
     print(f"challenge_metric={report['challenge_metric']}")
     return 0

@@ -12,12 +12,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import signal
 
-from .eeg_io import RawRecording, SignalFile
 from .errors import BadConfig, NonFiniteValue, ShapeMismatch, UnusableRecording
+
+if TYPE_CHECKING:  # eeg_io imports this module for the rate rule
+    from .eeg_io import RawRecording
 
 TARGET_FS_HZ = 100.0
 SEGMENT_SAMPLES = 30000  # 5 minutes at 100 Hz
@@ -28,6 +31,8 @@ DEFAULT_ORDER = 4
 PIPELINE_VERSION = 1
 
 MAX_RESAMPLE_DENOMINATOR = 10000
+RATE_RULE = (f"above {2 * DEFAULT_BAND_HZ[1]} Hz and a ratio to {TARGET_FS_HZ} Hz "
+             f"with denominator <= {MAX_RESAMPLE_DENOMINATOR}")
 
 
 @dataclass(frozen=True)
@@ -198,17 +203,20 @@ def _require_segment(n: int, where: str = "") -> None:
         raise UnusableRecording(f"{where}need >= {SEGMENT_SAMPLES} samples, got {n}")
 
 
+def usable_rate(fs_hz: float) -> bool:
+    """The one rate rule, ``RATE_RULE``: a finite rate whose Nyquist frequency
+    is above the band and that ``resample`` can take to 100 Hz."""
+    return (2 * DEFAULT_BAND_HZ[1] < fs_hz <= sys.float_info.max
+            and _resample_ratio(fs_hz, TARGET_FS_HZ) is not None)
+
+
 def require_usable(rec: RawRecording) -> None:
     """Raise UnusableRecording, naming the patient and hour, unless the header
-    alone shows every montage electrode, a rate whose Nyquist frequency is
-    above the band and that ``resample`` can take to 100 Hz, and one segment."""
+    alone shows every montage electrode, a ``usable_rate`` and one segment."""
     where = f"patient {rec.patient_id}, hour {rec.hour_index}: "
     _require_montage(rec.electrodes, where)
-    min_fs = 2 * DEFAULT_BAND_HZ[1]
-    if not (rec.fs_hz > min_fs and _resample_ratio(rec.fs_hz, TARGET_FS_HZ)):
-        raise UnusableRecording(f"{where}rate {rec.fs_hz} Hz: need above {min_fs} Hz and "
-                                f"a ratio to {TARGET_FS_HZ} Hz with denominator <= "
-                                f"{MAX_RESAMPLE_DENOMINATOR}")
+    if not usable_rate(rec.fs_hz):
+        raise UnusableRecording(f"{where}rate {rec.fs_hz} Hz: need {RATE_RULE}")
     _require_segment(_resampled_length(rec.samples.shape[1], rec.fs_hz, TARGET_FS_HZ), where)
 
 
@@ -267,6 +275,6 @@ def preprocess(rec: RawRecording) -> np.ndarray:
         return segment(to_bipolar(rescaled, rec.electrodes))
     except NonFiniteValue as exc:
         where = f"patient {rec.patient_id}, hour {rec.hour_index}"
-        if isinstance(rec.samples, SignalFile):
+        if hasattr(rec.samples, "path"):  # an eeg_io.SignalFile, read from disk
             where = f"{where}: {rec.samples.path}"
         raise NonFiniteValue(f"{where}: {exc}") from exc

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError
+from . import dsp
+from .errors import BadConfig, DataFileError, InsufficientData, PrognosisError, UnusableRecording
 
 SIGNAL_DTYPE = np.dtype("<f4")
 FORMAT_DTYPE_TAG = "f32le"
@@ -163,11 +164,8 @@ class SynthesisProfile:
             raise BadConfig(f"outcome must be Good or Poor, got {self.outcome!r}")
         if self.n_hours < 1:
             raise BadConfig(f"n_hours must be >= 1, got {self.n_hours}")
-        if not (70 < self.fs_hz <= sys.float_info.max):
-            raise BadConfig(
-                f"fs_hz must be finite and exceed 70 so 35 Hz content is "
-                f"representable, got {self.fs_hz}"
-            )
+        if not dsp.usable_rate(self.fs_hz):  # else preprocess would skip every hour
+            raise BadConfig(f"fs_hz must be a finite rate {dsp.RATE_RULE}, got {self.fs_hz}")
 
 
 def write_file(path, what: str, write, mode: str = "w") -> Path:
@@ -345,6 +343,9 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
     band = (freqs >= lo) & (freqs <= hi)
     # 1/f^exponent power, floored below 1 Hz so power does not diverge at DC
     pink = (freqs > 0) * np.maximum(freqs, 1.0) ** (-NOISE_EXPONENT / 2.0)
+    t = np.arange(n) / profile.fs_hz
+    phase = np.floor(t / BURST_PERIOD_S).astype(np.int64)
+    envelope = np.where(phase % 2 == 0, 1.0, SUPPRESSION_AMPLITUDE)  # Poor's bursts
     recordings = []
     for hour in range(profile.n_hours):
         samples = np.empty((len(STANDARD_ELECTRODES), n), dtype=np.float32)
@@ -355,9 +356,6 @@ def synthesize_patient(profile: SynthesisProfile) -> tuple[list[RawRecording], P
                 x = 30.0 * osc + 10.0 * noise
             else:
                 base = _shaped_noise(rng, n, pink)
-                t = np.arange(n) / profile.fs_hz
-                phase = np.floor(t / BURST_PERIOD_S).astype(np.int64)
-                envelope = np.where(phase % 2 == 0, 1.0, SUPPRESSION_AMPLITUDE)
                 x = 40.0 * base * envelope
             samples[e] = x.astype(np.float32)
         recordings.append(
@@ -385,7 +383,7 @@ def load_patient(pdir) -> tuple[PatientMeta, list[RawRecording]]:
         raise DataFileError(f"patient {pdir.name}: bad patient.json: {exc}") from exc
     headers = sorted(pdir.glob("*.hdr.json"))
     if not headers:
-        raise InsufficientData(f"patient {pdir.name}: no recordings in {pdir}")
+        raise UnusableRecording(f"patient {pdir.name}: no recordings in {pdir}")
     recs = []
     for hp in headers:
         try:

@@ -114,21 +114,17 @@ def evaluate_split(
     config: ModelConfig,
     dataset,
     store,
-    patient_ids=None,
 ) -> tuple[dict, list[dict]]:
-    """Predict every patient of a split and compute the summary metrics.
+    """Predict every patient of ``dataset`` and compute the summary metrics.
 
     Returns (report, per-patient rows). Each patient is scored from the
     most recent hour in the preprocessed store.
     """
-    ids = sorted(patient_ids) if patient_ids is not None else sorted(dataset)
     rows = []
-    for pid in ids:
+    for pid in sorted(dataset):
         meta = dataset[pid][0]
-        hours = store.hours(pid)
-        if not hours:
-            raise UnusableRecording(f"patient {pid}: no cached hour to score")
-        pred = predict_from_segments(params, config, store.segments(pid, hours[-1]), pid)
+        hour = store.hours(pid)[-1]
+        pred = predict_from_segments(params, config, store.segments(pid, hour), pid)
         rows.append(
             {
                 "patient_id": pid,
@@ -145,7 +141,7 @@ def evaluate_split(
         "challenge_metric": challenge_metric(scores, labels),
         "accuracy": accuracy([int(s >= POOR_THRESHOLD) for s in scores], labels),
         "mse_cpc": float(np.mean([(r["cpc_pred"] - r["cpc_true"]) ** 2 for r in rows])),
-        "n_patients": len(ids),
+        "n_patients": len(rows),
     }
     return report, rows
 

@@ -22,7 +22,7 @@ from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .eeg_io import GOOD, POOR, RawRecording, source_key, write_file
-from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch
+from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from .evaluation import POOR_THRESHOLD
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
 
@@ -186,6 +186,8 @@ class SegmentStore:
     One .npy per (patient, hour) holding [n_segments, 18, 30000] float32,
     and beside it a .key sidecar holding the ``_cache_key`` it was built
     from. An hour is trusted only when its sidecar holds the current key.
+    A rebuild renames the .npy into place before its key, so a current key
+    sits beside an .npy built for it even when a rebuild is cut short.
     """
 
     def __init__(self, cache_dir):
@@ -206,17 +208,15 @@ class SegmentStore:
             fresh = False
         if not fresh:
             segments = dsp.preprocess(rec)
-            # no sidecar while the .npy is replaced, so a cut rebuild is not trusted
-            try:
-                key_path.unlink(missing_ok=True)
-            except OSError as exc:
-                raise DataFileError(f"cannot remove cache key {key_path}: {exc}") from exc
             write_file(path, "cache file", lambda fh: np.save(fh, segments), "wb")
             write_file(key_path, "cache key", lambda fh: fh.write(key), "wb")
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:
-        return sorted(self._index.get(patient_id, {}))
+        """The cached hours of a patient, or UnusableRecording if it has none."""
+        if patient_id not in self._index:
+            raise UnusableRecording(f"patient {patient_id}: no cached hour")
+        return sorted(self._index[patient_id])
 
     def segments(self, patient_id: str, hour_index: int) -> np.ndarray:
         path = self._index[patient_id][hour_index]
@@ -257,8 +257,6 @@ def sample_training_example(
         raise InsufficientData("no patients in split")
     pid = split_ids[int(rng.integers(len(split_ids)))]
     hours = store.hours(pid)
-    if not hours:
-        raise InsufficientData(f"patient {pid} has no preprocessed hours")
     hour = hours[int(rng.integers(len(hours)))]
     segs = store.segments(pid, hour)
     return _example(dataset, pid, segs[int(rng.integers(segs.shape[0]))])
@@ -292,16 +290,12 @@ def select_validation_segments(
     out: list[TrainingExample] = []
     for pid in val_ids:
         hours = store.hours(pid)
-        if not hours:
-            continue
         hour = hours[int(rng.integers(len(hours)))]
         segs = store.segments(pid, hour)
         k = min(VAL_SEGMENTS_PER_PATIENT, segs.shape[0])
         picks = rng.choice(segs.shape[0], size=k, replace=False)
         for idx in sorted(int(i) for i in picks):
             out.append(_example(dataset, pid, segs[idx]))
-    if not out:
-        raise InsufficientData("validation split has no usable segments")
     return out
 
 

@@ -288,6 +288,8 @@ BAD_SPLITS = {"split-int": 5, "split-nested": [["a"]], "split-str": "abc", "spli
                      "max_iterations", id="iters-0"),
         pytest.param(["synthesize", "--good", "1", "--poor", "0", "--fs", "inf",
                       "--out", "{tmp}/data"], "fs_hz", id="fs-inf"),
+        pytest.param(["synthesize", "--good", "1", "--poor", "0", "--fs", "250.00003",
+                      "--out", "{tmp}/data"], "fs_hz", id="fs-no-ratio"),
         pytest.param(["evaluate", "--data", "{corpus}", "--checkpoint",
                       "{tmp}/no-split.ckpt", "--split", "val", "--out", "{tmp}/eval"],
                      "no-split.ckpt", id="split-not-recorded"),
@@ -324,6 +326,7 @@ def test_bad_input_is_an_error(capsys, corpus, trained_run, tmp_path, argv, name
     assert code == 1
     assert err.startswith("error: ")
     assert named in err
+    assert not (tmp_path / "data").exists()  # no corpus is written
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prognosis import dsp, eeg_io
 from prognosis.eeg_io import (
@@ -18,7 +20,13 @@ from prognosis.eeg_io import (
     write_patient,
     write_recording,
 )
-from prognosis.errors import BadConfig, DataFileError, InsufficientData, NonFiniteValue
+from prognosis.errors import (
+    BadConfig,
+    DataFileError,
+    InsufficientData,
+    NonFiniteValue,
+    UnusableRecording,
+)
 
 
 def make_recording(n_elec=19, n_samples=1000, seed=0):
@@ -199,6 +207,8 @@ class TestSynthesis:
             dict(outcome=GOOD, seed=0, fs_hz=50.0),
             dict(outcome=GOOD, seed=0, fs_hz=float("nan")),
             dict(outcome=GOOD, seed=0, fs_hz=float("inf")),
+            dict(outcome=GOOD, seed=0, fs_hz=70.0),
+            dict(outcome=GOOD, seed=0, fs_hz=250.00003),
         ],
     )
     def test_invalid_profile(self, kwargs):
@@ -206,6 +216,32 @@ class TestSynthesis:
             SynthesisProfile(**kwargs)
         if "fs_hz" in kwargs:
             assert "fs_hz" in str(exc.value)
+
+    @given(fs_hz=st.one_of(st.integers(1, 10**6).map(float), st.floats(1e-3, 1e7)))
+    @example(fs_hz=60.0)
+    @example(fs_hz=70.0)
+    @example(fs_hz=80.0)
+    @example(fs_hz=100.0)
+    @example(fs_hz=250.0)
+    @example(fs_hz=250.00003)
+    @example(fs_hz=256.0)
+    @settings(max_examples=200, deadline=None)
+    def test_profile_takes_exactly_the_rates_preprocess_takes(self, fs_hz):
+        # samples for one segment at any rate, on zeros that allocate nothing
+        n = int(np.ceil(dsp.SEGMENT_SAMPLES * fs_hz / dsp.TARGET_FS_HZ)) + 1
+        rec = RawRecording("p", 0, fs_hz, eeg_io.STANDARD_ELECTRODES,
+                           np.broadcast_to(np.float32(0), (19, n)))
+        try:
+            dsp.require_usable(rec)
+            refused = None
+        except UnusableRecording as exc:
+            refused = str(exc)
+        if refused is None:
+            SynthesisProfile(outcome=GOOD, seed=0, fs_hz=fs_hz)
+        else:
+            assert f"rate {fs_hz} Hz" in refused
+            with pytest.raises(BadConfig, match="fs_hz"):
+                SynthesisProfile(outcome=GOOD, seed=0, fs_hz=fs_hz)
 
 
 class TestDataset:
@@ -244,6 +280,11 @@ class TestDataset:
         assert set(json.loads(path.read_text())) == {"patient_id", "outcome", "cpc"}
         path.write_text(json.dumps({**json.loads(path.read_text()), "hospital": "synthetic"}))
         assert load_dataset(tmp_path)["p1"][0] == meta
+
+    def test_patient_without_recordings_is_unusable(self, tmp_path):
+        write_patient(PatientMeta("p1", GOOD, 1), [], tmp_path)
+        with pytest.raises(UnusableRecording, match="patient p1: no recordings"):
+            load_dataset(tmp_path)
 
     def test_missing_metadata_names_patient(self, tmp_path):
         self._write_corpus(tmp_path, n_good=1, n_poor=0)

@@ -218,8 +218,8 @@ class TestEvaluateSplit:
         if len(set(metas)) < 2:
             ids = [sorted(small_dataset)[0], sorted(small_dataset)[-1]]
         monkeypatch.setattr(E, "forward", constant_forward(0.5, 3.0))
-        report, rows = evaluate_split({}, desk, small_dataset, patient_ids=ids,
-                                      store=small_store)
+        subset = {pid: small_dataset[pid] for pid in ids}
+        report, rows = evaluate_split({}, desk, subset, store=small_store)
         assert report["n_patients"] == 2
         assert [r["patient_id"] for r in rows] == sorted(ids)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prognosis import autodiff as ad
-from prognosis import dsp
+from prognosis import dsp, evaluation
 from prognosis import train as T
 from prognosis.autodiff import Tensor
 from prognosis.eeg_io import (
@@ -21,7 +21,7 @@ from prognosis.eeg_io import (
     write_recording,
 )
 from prognosis.errors import DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
-from prognosis.model import preset_config
+from prognosis.model import init_params, preset_config
 from prognosis.train import (
     AdamState,
     TrainConfig,
@@ -273,12 +273,27 @@ class TestStore:
         with pytest.raises(DataFileError, match="disk full"):
             store.add_recording(one_hour_recording)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-        assert store.hours(one_hour_recording.patient_id) == []
+        with pytest.raises(UnusableRecording, match=one_hour_recording.patient_id):
+            store.hours(one_hour_recording.patient_id)
 
         monkeypatch.setattr(np, "save", real_save)
         store.add_recording(one_hour_recording)
         segs = store.segments(one_hour_recording.patient_id, 0)
         assert segs.shape == (12, 18, 30000)
+
+    @pytest.mark.parametrize("consumer", [
+        lambda store, dataset: T.sample_training_example(
+            ["b"], store, dataset, np.random.default_rng(0)),
+        lambda store, dataset: T.select_validation_segments(["a", "b"], store, dataset, 0),
+        lambda store, dataset: evaluation.evaluate_split(
+            init_params(preset_config("desk"), seed=0), preset_config("desk"), dataset, store),
+    ], ids=["sample", "validation", "evaluate"])
+    def test_patient_without_cached_hour_is_unusable(self, tmp_path, consumer):
+        dataset = {pid: (PatientMeta(pid, GOOD, 1), [five_minute_recording(pid, i)])
+                   for i, pid in enumerate("ab")}
+        store = T.build_store({"a": dataset["a"]}, tmp_path)
+        with pytest.raises(UnusableRecording, match="patient b: no cached hour"):
+            consumer(store, dataset)
 
     def test_truncated_cache_file_is_a_data_error(self, one_hour_recording, tmp_path):
         store = T.SegmentStore(tmp_path)
@@ -325,6 +340,32 @@ class TestCacheFingerprint:
         T.build_store(load_dataset(root), tmp_path / "fresh")
         rebuilt = (cache / "p0" / "hour_0.npy").read_bytes()
         assert rebuilt == (tmp_path / "fresh" / "p0" / "hour_0.npy").read_bytes()
+
+    @pytest.mark.parametrize("cut", [".npy", ".key"])
+    def test_cut_rebuild_is_rebuilt(self, tmp_path, monkeypatch, cut):
+        root, cache, fresh = tmp_path / "data", tmp_path / "cache", tmp_path / "fresh"
+        write_five_minute_corpus(root, 1)
+        T.build_store(load_dataset(root), cache)
+        old = (cache / "p0" / "hour_0.npy").read_bytes()
+        write_recording(five_minute_recording("p0", seed=99), root / "p0")
+        real_write_file = T.write_file
+
+        def disk_full(fh):
+            raise OSError("disk full")
+
+        def cut_write(path, what, write, mode="w"):
+            return real_write_file(path, what, disk_full if path.suffix == cut else write, mode)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "write_file", cut_write)
+            with pytest.raises(DataFileError, match="disk full"):
+                T.build_store(load_dataset(root), cache)
+        # a cut key write leaves the new .npy beside the old key
+        assert ((cache / "p0" / "hour_0.npy").read_bytes() == old) == (cut == ".npy")
+        T.build_store(load_dataset(root), cache)
+        T.build_store(load_dataset(root), fresh)
+        for name in ("hour_0.npy", "hour_0.key"):
+            assert (cache / "p0" / name).read_bytes() == (fresh / "p0" / name).read_bytes()
 
     def test_cache_file_without_key_is_rebuilt(self, tmp_path):
         root, cache = tmp_path / "data", tmp_path / "cache"

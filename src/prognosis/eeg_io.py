@@ -110,22 +110,6 @@ class RawRecording:
             raise DataFileError(f"hour_index must be >= 0, got {self.hour_index}")
 
 
-def source_key(rec: RawRecording) -> dict:
-    """What ``rec``'s samples and facts were read from: for a recording on
-    disk, its header bytes and its signal file's inode, size and mtime; for
-    one in memory, its facts and the sha256 of its samples."""
-    if isinstance(rec.samples, SignalFile):
-        return {"header_sha256": rec.samples.header_sha256,
-                "signal_file": rec.samples.version}
-    samples = np.ascontiguousarray(rec.samples)
-    return {
-        "fs_hz": rec.fs_hz,
-        "electrodes": rec.electrodes,
-        "samples": (samples.dtype.str, samples.shape),
-        "samples_sha256": hashlib.sha256(samples).hexdigest(),
-    }
-
-
 @dataclass(frozen=True)
 class PatientMeta:
     patient_id: str
@@ -385,16 +369,27 @@ def load_patient(pdir) -> tuple[PatientMeta, list[RawRecording]]:
     if not headers:
         raise UnusableRecording(f"patient {pdir.name}: no recordings in {pdir}")
     recs = []
+    header_of: dict[int, Path] = {}  # hour -> the header that holds it
     for hp in headers:
         try:
-            recs.append(load_recording(hp))
+            rec = load_recording(hp)
         except PrognosisError as exc:
             raise type(exc)(f"patient {pdir.name}: {exc}") from exc
-        if recs[-1].patient_id != meta.patient_id:
+        if rec.patient_id != meta.patient_id:
             raise DataFileError(
-                f"{hp}: patient_id {recs[-1].patient_id!r} is not the "
+                f"{hp}: patient_id {rec.patient_id!r} is not the "
                 f"{meta.patient_id!r} of {meta_path}"
             )
+        if rec.hour_index in header_of:  # both would map to one cache entry
+            raise DataFileError(
+                f"{header_of[rec.hour_index]} and {hp}: both hold hour {rec.hour_index}"
+            )
+        header_of[rec.hour_index] = hp
+        recs.append(rec)
+    if meta.patient_id != pdir.name:  # else two directories could load as one patient
+        raise DataFileError(
+            f"{meta_path}: patient_id {meta.patient_id!r} is not its directory's name"
+        )
     recs.sort(key=lambda r: r.hour_index)
     return meta, recs
 

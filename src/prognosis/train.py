@@ -9,6 +9,7 @@ uniform; the patient split is stratified by outcome at the patient level.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ from . import autodiff as ad
 from . import dsp
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .eeg_io import GOOD, POOR, RawRecording, source_key, write_file
+from .eeg_io import GOOD, POOR, RawRecording, SignalFile, write_file
 from .errors import BadConfig, DataFileError, InsufficientData, ShapeMismatch, UnusableRecording
 from .evaluation import POOR_THRESHOLD
 from .model import ModelConfig, count_parameters, forward, forward_tensors, init_params
@@ -168,8 +169,13 @@ def split_patients(dataset, ratio: float, seed: int) -> tuple[list[str], list[st
     return sorted(train_ids), sorted(val_ids)
 
 
-def _cache_key(rec: RawRecording) -> bytes:
-    """Everything a cached hour depends on: the DSP pipeline and the recording."""
+def _cache_key(rec: RawRecording) -> str:
+    """The sha256 of everything a cached hour depends on: the DSP pipeline,
+    and the header bytes and signal file version of the recording on disk."""
+    if not isinstance(rec.samples, SignalFile):
+        raise UnusableRecording(
+            f"patient {rec.patient_id}, hour {rec.hour_index}: only a recording on disk is cached"
+        )
     pipeline = {
         "version": dsp.PIPELINE_VERSION,
         "band_hz": dsp.DEFAULT_BAND_HZ,
@@ -177,17 +183,19 @@ def _cache_key(rec: RawRecording) -> bytes:
         "target_fs_hz": dsp.TARGET_FS_HZ,
         "segment_samples": dsp.SEGMENT_SAMPLES,
     }
-    return json.dumps({"pipeline": pipeline, "source": source_key(rec)}, sort_keys=True).encode()
+    source = {"header_sha256": rec.samples.header_sha256, "signal_file": rec.samples.version}
+    key = json.dumps({"pipeline": pipeline, "source": source}, sort_keys=True).encode()
+    return hashlib.sha256(key).hexdigest()
 
 
 class SegmentStore:
     """Disk-cached preprocessed segments, memory-mapped on read.
 
-    One .npy per (patient, hour) holding [n_segments, 18, 30000] float32,
-    and beside it a .key sidecar holding the ``_cache_key`` it was built
-    from. An hour is trusted only when its sidecar holds the current key.
-    A rebuild renames the .npy into place before its key, so a current key
-    sits beside an .npy built for it even when a rebuild is cut short.
+    One file per (patient, hour), ``hour_<k>.<_cache_key>.npy``,
+    holding [n_segments, 18, 30000] float32. ``write_file`` renames it into
+    place whole, so the hour is current exactly when that file exists. A
+    rebuild removes the hour's other files before it writes: a cut rebuild
+    leaves no entry, and the next open builds the hour again.
     """
 
     def __init__(self, cache_dir):
@@ -195,21 +203,16 @@ class SegmentStore:
         self._index: dict[str, dict[int, Path]] = {}
         self.skipped: list[str] = []  # why each unusable hour was left out
 
-    def _path(self, patient_id: str, hour_index: int) -> Path:
-        return self.cache_dir / patient_id / f"hour_{hour_index}.npy"
-
     def add_recording(self, rec: RawRecording) -> None:
-        path = self._path(rec.patient_id, rec.hour_index)
-        key_path = path.with_suffix(".key")
-        key = _cache_key(rec)
-        try:
-            fresh = path.is_file() and key_path.read_bytes() == key
-        except OSError:
-            fresh = False
-        if not fresh:
+        path = self.cache_dir / rec.patient_id / f"hour_{rec.hour_index}.{_cache_key(rec)}.npy"
+        if not path.is_file():
             segments = dsp.preprocess(rec)
+            for old in path.parent.glob(f"hour_{rec.hour_index}.*"):
+                try:
+                    old.unlink()
+                except OSError as exc:
+                    raise DataFileError(f"cannot remove cache file {old}: {exc}") from exc
             write_file(path, "cache file", lambda fh: np.save(fh, segments), "wb")
-            write_file(key_path, "cache key", lambda fh: fh.write(key), "wb")
         self._index.setdefault(rec.patient_id, {})[rec.hour_index] = path
 
     def hours(self, patient_id: str) -> list[int]:

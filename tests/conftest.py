@@ -22,10 +22,25 @@ def small_dataset():
     return dataset
 
 
+def write_and_open(dataset, root):
+    """Write a ``{patient_id: (meta, recordings)}`` dataset under ``root`` and
+    open it from there, as the store caches only recordings read from disk."""
+    for meta, recs in dataset.values():
+        eeg_io.write_patient(meta, recs, root)
+    return eeg_io.load_dataset(root)
+
+
+@pytest.fixture
+def on_disk(tmp_path):
+    """``write_and_open`` into ``tmp_path / "data"``."""
+    return lambda dataset: write_and_open(dataset, tmp_path / "data")
+
+
 @pytest.fixture(scope="session")
 def small_store(small_dataset, tmp_path_factory):
-    cache = tmp_path_factory.mktemp("segment-cache")
-    return train_mod.build_store(small_dataset, cache)
+    """The segment cache of ``small_dataset``, written to disk and opened."""
+    root = tmp_path_factory.mktemp("small-dataset")
+    return train_mod.build_store(write_and_open(small_dataset, root), root / ".preprocessed")
 
 
 @pytest.fixture(scope="session")

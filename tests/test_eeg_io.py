@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,23 @@ class TestDataset:
     def test_patient_without_recordings_is_unusable(self, tmp_path):
         write_patient(PatientMeta("p1", GOOD, 1), [], tmp_path)
         with pytest.raises(UnusableRecording, match="patient p1: no recordings"):
+            load_dataset(tmp_path)
+
+    def test_patient_id_must_name_its_directory(self, tmp_path):
+        rec = dataclasses.replace(make_recording(), patient_id="x")
+        for name in ("a", "b"):  # two copies of patient x: they must not load as one
+            write_patient(PatientMeta("x", GOOD, 1), [rec], tmp_path).rename(tmp_path / name)
+        message = f"{tmp_path / 'a' / 'patient.json'}: patient_id 'x' is not its directory's name"
+        with pytest.raises(DataFileError, match=re.escape(message)):
+            load_dataset(tmp_path)
+
+    def test_hour_held_by_two_headers(self, tmp_path):
+        recs = [make_recording(), dataclasses.replace(make_recording(seed=1), hour_index=1)]
+        pdir = write_patient(PatientMeta("p1", GOOD, 1), recs, tmp_path)
+        second = pdir / "hour_1.hdr.json"
+        second.write_text(json.dumps({**json.loads(second.read_text()), "hour_index": 0}))
+        message = f"{pdir / 'hour_0.hdr.json'} and {second}: both hold hour 0"
+        with pytest.raises(DataFileError, match=re.escape(message)):
             load_dataset(tmp_path)
 
     def test_missing_metadata_names_patient(self, tmp_path):

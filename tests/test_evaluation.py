@@ -244,23 +244,23 @@ class TestEvaluateSplit:
             dataset[pid] = (PatientMeta(pid, outcome, cpc), recs)
         return dataset
 
-    def test_cache_scores_latest_usable_hour(self, desk, monkeypatch, tmp_path):
+    def test_cache_scores_latest_usable_hour(self, desk, monkeypatch, tmp_path, on_disk):
         def mean_forward(params, config, segment):
             return ModelOutput(poor_prob=float(segment.mean()), cpc_raw=3.0, cpc_pred=3)
 
         monkeypatch.setattr(E, "forward", mean_forward)
-        dataset = self._hours_dataset()
-        store = build_store(dataset, tmp_path)
+        dataset = on_disk(self._hours_dataset())
+        store = build_store(dataset, tmp_path / "cache")
         assert store.hours("g") == store.hours("p") == [0, 1]
         _, cached = evaluate_split({}, desk, dataset, store=store)
         direct = [predict_patient({}, desk, dataset[pid][1]) for pid in sorted(dataset)]
         assert [r["poor_prob"] for r in cached] == [p.poor_prob for p in direct]
         assert [r["n_segments_used"] for r in cached] == [p.n_segments_used for p in direct]
 
-    def test_patient_missing_from_store(self, desk, monkeypatch, tmp_path):
+    def test_patient_missing_from_store(self, desk, monkeypatch, tmp_path, on_disk):
         monkeypatch.setattr(E, "forward", constant_forward(0.5, 3.0))
-        dataset = self._hours_dataset()
-        store = build_store({"g": dataset["g"]}, tmp_path)
+        dataset = on_disk(self._hours_dataset())
+        store = build_store({"g": dataset["g"]}, tmp_path / "cache")
         with pytest.raises(UnusableRecording, match="patient p"):
             evaluate_split({}, desk, dataset, store=store)
 

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -242,7 +244,7 @@ class TestStore:
             T.build_store({rec.patient_id: (meta, [broken])}, tmp_path)
         assert not list(tmp_path.rglob("*.npy"))
 
-    def test_unusable_hour_skipped(self, one_hour_recording, tmp_path):
+    def test_unusable_hour_skipped(self, one_hour_recording, tmp_path, on_disk):
         import dataclasses
 
         rec = one_hour_recording
@@ -254,13 +256,15 @@ class TestStore:
             samples=rec.samples[keep],
         )
         meta = PatientMeta(rec.patient_id, GOOD, 1)
-        store = T.build_store({rec.patient_id: (meta, [rec, broken])}, tmp_path)
+        dataset = on_disk({rec.patient_id: (meta, [rec, broken])})
+        store = T.build_store(dataset, tmp_path / "cache")
         assert store.hours(rec.patient_id) == [0]
         assert store.skipped == [f"patient {rec.patient_id}, hour 1: Cz"]
-        assert [p.name for p in tmp_path.rglob("*.npy")] == ["hour_0.npy"]
+        key = T._cache_key(dataset[rec.patient_id][1][0])
+        assert [p.name for p in tmp_path.rglob("*.npy")] == [f"hour_0.{key}.npy"]
 
     def test_interrupted_write_leaves_no_cache_file(
-        self, one_hour_recording, tmp_path, monkeypatch
+        self, one_hour_recording, tmp_path, monkeypatch, on_disk
     ):
         real_save = np.save
 
@@ -268,18 +272,27 @@ class TestStore:
             real_save(file, arr[:1])  # a valid file holding part of the data
             raise OSError("disk full")
 
-        store = T.SegmentStore(tmp_path)
+        pid = one_hour_recording.patient_id
+        rec = on_disk({pid: (PatientMeta(pid, GOOD, 1), [one_hour_recording])})[pid][1][0]
+        cache = tmp_path / "cache"
+        store = T.SegmentStore(cache)
         monkeypatch.setattr(np, "save", failing_save)
         with pytest.raises(DataFileError, match="disk full"):
-            store.add_recording(one_hour_recording)
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-        with pytest.raises(UnusableRecording, match=one_hour_recording.patient_id):
-            store.hours(one_hour_recording.patient_id)
+            store.add_recording(rec)
+        assert [p for p in cache.rglob("*") if p.is_file()] == []
+        with pytest.raises(UnusableRecording, match=pid):
+            store.hours(pid)
 
         monkeypatch.setattr(np, "save", real_save)
-        store.add_recording(one_hour_recording)
-        segs = store.segments(one_hour_recording.patient_id, 0)
+        store.add_recording(rec)
+        segs = store.segments(pid, 0)
         assert segs.shape == (12, 18, 30000)
+
+    def test_in_memory_recording_is_refused(self, tmp_path):
+        rec = dataclasses.replace(five_minute_recording("p0", 0), hour_index=3)
+        with pytest.raises(UnusableRecording, match="^patient p0, hour 3: "):
+            T.SegmentStore(tmp_path).add_recording(rec)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("consumer", [
         lambda store, dataset: T.sample_training_example(
@@ -288,20 +301,22 @@ class TestStore:
         lambda store, dataset: evaluation.evaluate_split(
             init_params(preset_config("desk"), seed=0), preset_config("desk"), dataset, store),
     ], ids=["sample", "validation", "evaluate"])
-    def test_patient_without_cached_hour_is_unusable(self, tmp_path, consumer):
-        dataset = {pid: (PatientMeta(pid, GOOD, 1), [five_minute_recording(pid, i)])
-                   for i, pid in enumerate("ab")}
-        store = T.build_store({"a": dataset["a"]}, tmp_path)
+    def test_patient_without_cached_hour_is_unusable(self, tmp_path, on_disk, consumer):
+        dataset = on_disk({pid: (PatientMeta(pid, GOOD, 1), [five_minute_recording(pid, i)])
+                           for i, pid in enumerate("ab")})
+        store = T.build_store({"a": dataset["a"]}, tmp_path / "cache")
         with pytest.raises(UnusableRecording, match="patient b: no cached hour"):
             consumer(store, dataset)
 
-    def test_truncated_cache_file_is_a_data_error(self, one_hour_recording, tmp_path):
-        store = T.SegmentStore(tmp_path)
-        store.add_recording(one_hour_recording)
-        path = store._path(one_hour_recording.patient_id, 0)
+    def test_truncated_cache_file_is_a_data_error(self, one_hour_recording, tmp_path, on_disk):
+        pid = one_hour_recording.patient_id
+        rec = on_disk({pid: (PatientMeta(pid, GOOD, 1), [one_hour_recording])})[pid][1][0]
+        store = T.SegmentStore(tmp_path / "cache")
+        store.add_recording(rec)
+        (path,) = (tmp_path / "cache").rglob("*.npy")
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(DataFileError, match=re.escape(str(path))):
-            store.segments(one_hour_recording.patient_id, 0)
+            store.segments(pid, 0)
 
 
 def five_minute_recording(pid: str, seed: int) -> RawRecording:
@@ -330,23 +345,55 @@ def cache_versions(cache) -> dict:
             for p in sorted(cache.rglob("*")) if p.is_file()}
 
 
+def cache_entries(cache, pid: str = "p0") -> dict[str, bytes]:
+    """Every file in a patient's cache directory, by name."""
+    return {p.name: p.read_bytes() for p in (cache / pid).iterdir()}
+
+
+@contextlib.contextmanager
+def files_opened():
+    """The paths of the files this process opens inside the block."""
+    opened = []
+
+    def hook(event, args):
+        if event == "open" and hook.on:
+            opened.append(str(args[0]))
+
+    hook.on = True
+    sys.addaudithook(hook)  # a hook stays for the process: switch it off after
+    try:
+        yield opened
+    finally:
+        hook.on = False
+
+
 class TestCacheFingerprint:
     def test_rewritten_recording_rebuilds_its_hour(self, tmp_path):
-        root, cache = tmp_path / "data", tmp_path / "cache"
+        root, cache, fresh = tmp_path / "data", tmp_path / "cache", tmp_path / "fresh"
         write_five_minute_corpus(root, 1)
         T.build_store(load_dataset(root), cache)
         write_recording(five_minute_recording("p0", seed=99), root / "p0")
         T.build_store(load_dataset(root), cache)
-        T.build_store(load_dataset(root), tmp_path / "fresh")
-        rebuilt = (cache / "p0" / "hour_0.npy").read_bytes()
-        assert rebuilt == (tmp_path / "fresh" / "p0" / "hour_0.npy").read_bytes()
+        T.build_store(load_dataset(root), fresh)
+        assert len(cache_entries(cache)) == 1  # the stale entry is gone
+        assert cache_entries(cache) == cache_entries(fresh)
 
-    @pytest.mark.parametrize("cut", [".npy", ".key"])
-    def test_cut_rebuild_is_rebuilt(self, tmp_path, monkeypatch, cut):
+    def test_rebuild_keeps_other_hours(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        recs = [dataclasses.replace(five_minute_recording("p0", h), hour_index=h) for h in (1, 10)]
+        write_patient(PatientMeta("p0", GOOD, 1), recs, root)
+        T.build_store(load_dataset(root), cache)
+        (hour_10,) = (cache / "p0").glob("hour_10.*")
+        built = cache_versions(cache)
+        write_recording(recs[0], root / "p0")  # hour 1 rewritten: hour_1.* is stale
+        T.build_store(load_dataset(root), cache)
+        assert len(cache_versions(cache)) == 2
+        assert cache_versions(cache)[str(hour_10)] == built[str(hour_10)]
+
+    def test_cut_rebuild_is_rebuilt(self, tmp_path, monkeypatch):
         root, cache, fresh = tmp_path / "data", tmp_path / "cache", tmp_path / "fresh"
         write_five_minute_corpus(root, 1)
         T.build_store(load_dataset(root), cache)
-        old = (cache / "p0" / "hour_0.npy").read_bytes()
         write_recording(five_minute_recording("p0", seed=99), root / "p0")
         real_write_file = T.write_file
 
@@ -354,39 +401,56 @@ class TestCacheFingerprint:
             raise OSError("disk full")
 
         def cut_write(path, what, write, mode="w"):
-            return real_write_file(path, what, disk_full if path.suffix == cut else write, mode)
+            return real_write_file(path, what, disk_full, mode)
 
         with monkeypatch.context() as m:
             m.setattr(T, "write_file", cut_write)
             with pytest.raises(DataFileError, match="disk full"):
                 T.build_store(load_dataset(root), cache)
-        # a cut key write leaves the new .npy beside the old key
-        assert ((cache / "p0" / "hour_0.npy").read_bytes() == old) == (cut == ".npy")
+        # the stale entry was removed before the cut write, which left nothing
+        assert cache_entries(cache) == {}
         T.build_store(load_dataset(root), cache)
         T.build_store(load_dataset(root), fresh)
-        for name in ("hour_0.npy", "hour_0.key"):
-            assert (cache / "p0" / name).read_bytes() == (fresh / "p0" / name).read_bytes()
+        assert cache_entries(cache) == cache_entries(fresh)
 
     def test_cache_file_without_key_is_rebuilt(self, tmp_path):
+        """An entry of the old layout, ``hour_0.npy`` beside a ``hour_0.key``
+        sidecar, is replaced by the one entry a fresh build makes."""
+        root, cache, fresh = tmp_path / "data", tmp_path / "cache", tmp_path / "fresh"
+        write_five_minute_corpus(root, 1)
+        T.build_store(load_dataset(root), fresh)
+        (cache / "p0").mkdir(parents=True)
+        np.save(cache / "p0" / "hour_0.npy", np.zeros((1, 18, 30000), dtype=np.float32))
+        (cache / "p0" / "hour_0.key").write_bytes(b"{}")
+        T.build_store(load_dataset(root), cache)
+        assert cache_entries(cache) == cache_entries(fresh)
+
+    def test_unremovable_stale_file_is_a_data_error(self, tmp_path):
         root, cache = tmp_path / "data", tmp_path / "cache"
         write_five_minute_corpus(root, 1)
-        T.build_store(load_dataset(root), cache)
-        good = (cache / "p0" / "hour_0.npy").read_bytes()
-        (cache / "p0" / "hour_0.key").unlink()
-        np.save(cache / "p0" / "hour_0.npy", np.zeros((1, 18, 30000), dtype=np.float32))
-        T.build_store(load_dataset(root), cache)
-        assert (cache / "p0" / "hour_0.npy").read_bytes() == good
-        assert (cache / "p0" / "hour_0.key").is_file()
+        stale = cache / "p0" / "hour_0.npy"
+        stale.mkdir(parents=True)  # unlink refuses a directory
+        with pytest.raises(DataFileError, match=f"cannot remove cache file {re.escape(str(stale))}"):
+            T.build_store(load_dataset(root), cache)
 
     def test_warm_opens_rewrite_nothing(self, tmp_path):
         root, cache = tmp_path / "data", tmp_path / "cache"
         write_five_minute_corpus(root, 2)
         T.build_store(load_dataset(root), cache)
         built = cache_versions(cache)
-        assert len(built) == 4  # a .npy and its .key per hour
+        assert len(built) == 2  # one file per hour
         for _ in range(2):
             T.build_store(load_dataset(root), cache)
             assert cache_versions(cache) == built
+
+    def test_warm_open_opens_no_cache_file(self, tmp_path):
+        root, cache = tmp_path / "data", tmp_path / "cache"
+        write_five_minute_corpus(root, 2)
+        T.build_store(load_dataset(root), cache)
+        with files_opened() as opened:
+            T.build_store(load_dataset(root), cache)
+        assert sum(p.endswith(".hdr.json") for p in opened) == 2  # the hook sees opens
+        assert [p for p in opened if p.startswith(str(cache))] == []
 
     def test_warm_open_reads_no_samples(self, tmp_path):
         root, cache = tmp_path / "data", tmp_path / "cache"
@@ -433,8 +497,9 @@ class TestCacheFingerprint:
         assert [m.split(": need")[0] for m in store.skipped] == [
             "patient p0, hour 1: rate 60.0 Hz", "patient p0, hour 2: rate 250.00003 Hz",
         ]
+        key = T._cache_key(mixed_rate_dataset["p0"][1][0])
         assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == [
-            "hour_0.key", "hour_0.npy", "p0",
+            f"hour_0.{key}.npy", "p0",
         ]
 
 

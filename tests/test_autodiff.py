@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf, ndtr
 
 from prognosis import autodiff as ad
 from prognosis.autodiff import Tensor
@@ -133,12 +134,42 @@ class TestInstanceNorm:
         )
 
 
+def erf_form_cdf(x):
+    """Phi(x) as gelu computed it for every dtype before its float32 kernel."""
+    phi = np.divide(x, math.sqrt(2.0))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+@pytest.fixture(scope="module")
+def f32_grid():
+    """4M float32 points over [-8, 8], each with both float32 neighbours,
+    and the float64 reference Phi at each."""
+    x = np.linspace(-8.0, 8.0, 4_000_000, dtype=np.float32)
+    x = np.concatenate(
+        [np.nextafter(x, np.float32(-np.inf)), x, np.nextafter(x, np.float32(np.inf))]
+    )
+    return x, ndtr(x.astype(np.float64))
+
+
+def gelu_data(x):
+    with ad.no_grad():
+        return ad.gelu(Tensor(x)).data
+
+
 class TestGelu:
     def test_zero(self):
-        assert float(ad.gelu(Tensor([0.0])).data[0]) == 0.0
+        for dtype in (np.float64, np.float32):
+            assert gelu_data(np.zeros(1, dtype)).tolist() == [0.0]
 
     def test_asymptote(self):
-        assert float(ad.gelu(Tensor([10.0])).data[0]) == pytest.approx(10.0, abs=1e-6)
+        for dtype in (np.float64, np.float32):
+            assert float(gelu_data(np.array([10.0], dtype))[0]) == pytest.approx(
+                10.0, abs=1e-6
+            )
+            assert gelu_data(np.array([-30.0, 30.0], dtype)).tolist() == [0.0, 30.0]
 
     def test_at_one(self):
         assert float(ad.gelu(Tensor([1.0])).data[0]) == pytest.approx(0.84134, abs=1e-4)
@@ -148,6 +179,48 @@ class TestGelu:
             lambda x: ad.tsum(ad.gelu(x)),
             np.random.default_rng(3).standard_normal(25),
         )
+
+    def test_float64_keeps_the_erf_form(self):
+        x = np.random.default_rng(4).standard_normal((7, 300)) * 3
+        assert np.array_equal(gelu_data(x), x * erf_form_cdf(x))
+
+    def test_float32_gelu_no_worse_than_the_erf_form(self, f32_grid):
+        x, phi_ref = f32_grid
+        ref = x.astype(np.float64) * phi_ref
+        for name, sel in (("all", slice(None)), ("|x| < 4", np.abs(x) < 4)):
+            erf_form = np.max(np.abs(x[sel] * erf_form_cdf(x[sel]) - ref[sel]))
+            kernel = np.max(np.abs(gelu_data(x[sel]) - ref[sel]))
+            assert kernel <= erf_form, (name, kernel, erf_form)
+
+    def test_float32_cdf_within_two_ulps_of_one(self, f32_grid):
+        x, phi_ref = f32_grid
+        assert np.max(np.abs(ad._normal_cdf32(x) - phi_ref)) <= 2 * np.finfo(np.float32).eps
+
+    def test_float32_gradient_matches_float64(self, f32_grid):
+        x, phi_ref = f32_grid
+        xt = Tensor(x, requires_grad=True)
+        ad.tsum(ad.gelu(xt)).backward()
+        x64 = x.astype(np.float64)
+        want = phi_ref + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+        assert xt.grad.dtype == np.float32
+        assert np.max(np.abs(xt.grad - want)) <= 1e-6
+
+    def test_float32_layouts(self):
+        x = np.random.default_rng(5).standard_normal((32, 600)).astype(np.float32)
+        want = gelu_data(x)
+        f_ordered = gelu_data(np.asfortranarray(x))
+        assert np.array_equal(f_ordered, want)
+        assert np.array_equal(gelu_data(x[:, ::3]), want[:, ::3])
+        assert np.array_equal(gelu_data(x[3, 7]), want[3, 7])
+        assert gelu_data(x[3, 7]).shape == ()
+        assert gelu_data(np.zeros((0, 5), np.float32)).shape == (0, 5)
+
+    def test_float32_blocks_equal_one_pass(self, monkeypatch):
+        n = int(3.5 * ad._CDF32_BLOCK)
+        x = np.random.default_rng(6).standard_normal(n).astype(np.float32) * 4
+        blocked = ad._normal_cdf32(x)
+        monkeypatch.setattr(ad, "_CDF32_BLOCK", n)
+        assert np.array_equal(blocked, ad._normal_cdf32(x))
 
 
 class TestLinear:

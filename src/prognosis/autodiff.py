@@ -88,10 +88,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 

@@ -169,9 +169,6 @@ def resample(x, fs_in: float, fs_out: float) -> np.ndarray:
     lead = (-delay) % down
     h = np.concatenate([np.zeros(lead), h])
     y = signal.upfirdn(h, x, up=up, down=down, axis=-1)[..., (delay + lead) // down :]
-    if y.shape[-1] < n_out:
-        pad = n_out - y.shape[-1]
-        y = np.concatenate([y, np.zeros(y.shape[:-1] + (pad,))], axis=-1)
     return y[..., :n_out]
 
 

@@ -160,8 +160,6 @@ def split_patients(dataset, ratio: float, seed: int) -> tuple[list[str], list[st
     val_ids: list[str] = []
     for outcome in (GOOD, POOR):
         ids = sorted(pid for pid, (meta, _) in dataset.items() if meta.outcome == outcome)
-        if not ids:
-            continue
         rng.shuffle(ids)
         cut = int(round(ratio * len(ids)))
         train_ids.extend(ids[:cut])
@@ -330,7 +328,11 @@ def train(
     run_dir,
     dataset_path: str = "",
 ) -> TrainResult:
-    """Full training loop; writes metrics.csv, best.ckpt, last.ckpt, manifest."""
+    """Full training loop; writes metrics.csv, best.ckpt, last.ckpt, manifest.
+
+    best.ckpt is written at each validation that sets a new best accuracy,
+    so a run cut short keeps the best model it has validated so far.
+    """
     outcomes = {meta.outcome for meta, _ in dataset.values()}
     if len(outcomes) < 2:
         raise InsufficientData(f"dataset contains only {outcomes} patients")
@@ -358,7 +360,7 @@ def train(
     }
     best_acc = -1.0
     best_iter = 0
-    best_snapshot: dict[str, Tensor]  # the last iteration always validates
+    best_ckpt: Path  # the first validation sets a new best; the last iteration validates
     rows: list[tuple] = []
     for it in range(1, train_cfg.max_iterations + 1):
         batch = [
@@ -378,10 +380,12 @@ def train(
             if acc > best_acc:
                 best_acc = acc
                 best_iter = it
-                best_snapshot = {
-                    n: Tensor(p.data.copy(), requires_grad=True)
-                    for n, p in params.items()
-                }
+                best_ckpt = save_checkpoint(
+                    run_dir / "best.ckpt",
+                    model_cfg,
+                    params,
+                    meta={**meta_common, "iteration": it, "val_accuracy": acc},
+                )
         rows.append(
             (it, float(ce_t.data), float(mse_t.data), float(total_t.data), val_acc)
         )
@@ -392,12 +396,6 @@ def train(
         for it, ce, mse, tot, acc in rows:
             writer.writerow([it, f"{ce:.6f}", f"{mse:.6f}", f"{tot:.6f}", acc])
     write_file(metrics_csv, "metrics", write_metrics)
-    best_ckpt = save_checkpoint(
-        run_dir / "best.ckpt",
-        model_cfg,
-        best_snapshot,
-        meta={**meta_common, "iteration": best_iter, "val_accuracy": best_acc},
-    )
     last_ckpt = save_checkpoint(
         run_dir / "last.ckpt",
         model_cfg,

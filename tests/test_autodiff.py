@@ -382,6 +382,10 @@ class TestBackward:
             Tensor([np.inf])
         with pytest.raises(NonFiniteValue):
             ad.log(Tensor([0.0]))
+        big = Tensor(np.float32([1e30]))
+        with pytest.raises(NonFiniteValue, match="op produced non-finite values"), \
+                np.errstate(over="ignore"):
+            ad.mul(big, big)
 
 
 class TestMatmulAndGlue:

@@ -286,6 +286,8 @@ BAD_SPLITS = {"split-int": 5, "split-nested": [["a"]], "split-str": "abc", "spli
         pytest.param(["train", "--data", "{corpus}", "--split-ratio", "0.5",
                       "--iters", "0", "--run", "{tmp}/run"],
                      "max_iterations", id="iters-0"),
+        pytest.param(["train", "--data", "{corpus}", "--split-ratio", "1",
+                      "--run", "{tmp}/run"], "split_ratio", id="split-ratio-1"),
         pytest.param(["synthesize", "--good", "1", "--poor", "0", "--fs", "inf",
                       "--out", "{tmp}/data"], "fs_hz", id="fs-inf"),
         pytest.param(["synthesize", "--good", "1", "--poor", "0", "--fs", "250.00003",

@@ -145,7 +145,7 @@ class TestResample:
         with pytest.raises(BadConfig, match="cannot express"):
             resample(np.ones(1000), 100 * math.pi, 100)
 
-    @pytest.mark.parametrize("fs_in", [128, 200, 250, 256, 500, 512, 1000])
+    @pytest.mark.parametrize("fs_in", [60, 80, 128, 200, 250, 256, 500, 512, 1000])
     @pytest.mark.parametrize("n", [2, 3, 17, 999])
     def test_matches_full_rate_reference(self, fs_in, n):
         # Reference: filter the whole upsampled stream, keep every down-th

@@ -183,6 +183,16 @@ def put_tensor(name, key, value):
     return edit
 
 
+def edit_tensors(edit):
+    """An edit of a checkpoint header that replaces its tensor list by ``edit(list)``."""
+
+    def edit_header(header):
+        header["tensors"] = edit(header["tensors"])
+        return header
+
+    return edit_header
+
+
 # (file kind, edit of its JSON, what the message must say)
 BAD_FILES = {
     "header fs_hz string": ("header", put("fs_hz", value="fast"), "fs_hz must be"),
@@ -237,6 +247,18 @@ BAD_FILES = {
         "checkpoint", put_tensor("pos", "shape", [32, 26]),
         r"tensor 'pos' has shape \[32, 26\], the model config needs \[26, 32\]",
     ),
+    "checkpoint tensor twice": (
+        "checkpoint", edit_tensors(lambda ts: ts + [e for e in ts if e["name"] == "pos"]),
+        "tensor 'pos' is listed twice",
+    ),
+    "checkpoint tensor missing": (
+        "checkpoint", edit_tensors(lambda ts: [e for e in ts if e["name"] != "pos"]),
+        "tensor 'pos' is missing",
+    ),
+    "checkpoint adam t string": (
+        "checkpoint", put("adam", value={"t": "1"}), "bad adam section",
+    ),
+    "checkpoint meta list": ("checkpoint", put("meta", value=[]), "meta must be a JSON object"),
 }
 
 

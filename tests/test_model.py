@@ -11,7 +11,7 @@ from prognosis import autodiff as ad
 from prognosis import model as M
 from prognosis.autodiff import Tensor
 from prognosis.checkpoint import load_checkpoint, save_checkpoint
-from prognosis.errors import BadConfig, DataFileError, ShapeMismatch
+from prognosis.errors import BadConfig, DataFileError, NonFiniteValue, ShapeMismatch
 from prognosis.model import (
     ConvLayerSpec,
     ModelConfig,
@@ -34,6 +34,12 @@ def desk():
 @pytest.fixture(scope="module")
 def desk_params(desk):
     return init_params(desk, seed=0)
+
+
+def payload_start(raw: bytes) -> int:
+    """The offset of a checkpoint's first tensor payload, just past its header."""
+    (hlen,) = struct.unpack("<I", raw[12:16])
+    return 16 + hlen
 
 
 def random_segment(seed=0, channels=18):
@@ -78,6 +84,8 @@ class TestConfig:
             assert (cfg.n_bipolar_channels, cfg.n_attention_blocks, cfg.n_heads) == (
                 ch, k, m,
             )
+        with pytest.raises(BadConfig, match="unknown preset 'entry9'"):
+            preset_config("entry9")
 
     def test_heads_must_divide(self):
         with pytest.raises(BadConfig):
@@ -120,6 +128,8 @@ class TestEncoder:
     def test_wrong_length_rejected(self, desk, desk_params):
         with pytest.raises(ShapeMismatch):
             encode_channel(desk_params, desk, 0, Tensor(np.zeros((1, 29999))))
+        with pytest.raises(ShapeMismatch, match="segment has 1 channels, model needs 2"):
+            build_sequence(desk_params, desk, random_segment(channels=1))
 
     def test_sequence_shape(self, desk, desk_params):
         seq = build_sequence(desk_params, desk, random_segment())
@@ -303,6 +313,27 @@ class TestCheckpoint:
         path.write_bytes(data[:-100])
         with pytest.raises(DataFileError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt, error, message", [
+        pytest.param(lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:],
+                     DataFileError, "unsupported version 2", id="version-2"),
+        pytest.param(lambda raw: raw[:12] + struct.pack("<I", len(raw)) + raw[16:],
+                     DataFileError, "checkpoint truncated", id="header-past-end"),
+        pytest.param(lambda raw: raw[:16] + b"x" + raw[17:],
+                     DataFileError, "bad header", id="header-not-json"),
+        # the first payload, in sorted name order, is blk0.ffn1.b
+        pytest.param(lambda raw: raw[:payload_start(raw)] + struct.pack("<f", np.nan)
+                     + raw[payload_start(raw) + 4:],
+                     NonFiniteValue, "blk0.ffn1.b: ", id="nan-payload"),
+        pytest.param(lambda raw: raw + b"\0", DataFileError, "1 trailing bytes",
+                     id="trailing-byte"),
+    ])
+    def test_corrupt_bytes_refused(self, desk, desk_params, tmp_path, corrupt, error, message):
+        path = save_checkpoint(tmp_path / "m.ckpt", desk, desk_params)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(error, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_not_a_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

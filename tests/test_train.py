@@ -12,6 +12,7 @@ from prognosis import autodiff as ad
 from prognosis import dsp, evaluation
 from prognosis import train as T
 from prognosis.autodiff import Tensor
+from prognosis.checkpoint import load_checkpoint
 from prognosis.eeg_io import (
     GOOD,
     POOR,
@@ -505,10 +506,13 @@ class TestCacheFingerprint:
 
 class TestTrainLoop:
     def test_single_class_rejected(self, small_store, tmp_path):
-        dataset = fake_dataset(3, 0)
         cfg = preset_config("desk")
         with pytest.raises(InsufficientData, match="dataset contains only"):
-            T.train(dataset, small_store, cfg, TrainConfig(max_iterations=1),
+            T.train(fake_dataset(3, 0), small_store, cfg, TrainConfig(max_iterations=1),
+                    tmp_path / "run")
+        # one patient of each class: at ratio 0.8 both go to train
+        with pytest.raises(InsufficientData, match="split produced 2 train / 0 val"):
+            T.train(fake_dataset(1, 1), small_store, cfg, TrainConfig(max_iterations=1),
                     tmp_path / "run")
 
     def test_unusable_run_dir_fails_before_training(
@@ -553,3 +557,36 @@ class TestTrainLoop:
             if field:
                 accs.append(float(field))
         assert res.best_val_accuracy == max(accs)
+        _, _, _, meta = load_checkpoint(res.best_ckpt)
+        assert (meta["iteration"], meta["val_accuracy"]) == (
+            res.best_iteration, res.best_val_accuracy,
+        )
+
+    def test_cut_run_keeps_its_best_so_far(
+        self, small_dataset, small_store, tmp_path, monkeypatch
+    ):
+        accs, snapshots = [], []
+        real_accuracy, real_adam_step = T.validation_accuracy, T.adam_step
+
+        def logged_accuracy(params, *args):
+            accs.append(real_accuracy(params, *args))
+            snapshots.append({n: p.data.copy() for n, p in params.items()})
+            return accs[-1]
+
+        def cut_after_second_validation(*args):
+            if len(accs) == 2:
+                raise KeyboardInterrupt
+            real_adam_step(*args)
+
+        monkeypatch.setattr(T, "validation_accuracy", logged_accuracy)
+        monkeypatch.setattr(T, "adam_step", cut_after_second_validation)
+        tc = TrainConfig(max_iterations=6, eval_every=2, seed=1, batch_size=2,
+                         split_ratio=0.5)
+        with pytest.raises(KeyboardInterrupt):
+            T.train(small_dataset, small_store, preset_config("desk"), tc, tmp_path / "run")
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+        _, params, _, meta = load_checkpoint(tmp_path / "run" / "best.ckpt")
+        best = accs.index(max(accs))  # a later tie is not a new best
+        assert (meta["iteration"], meta["val_accuracy"]) == (2 * (best + 1), accs[best])
+        for name, data in snapshots[best].items():
+            assert np.array_equal(params[name].data, data)
